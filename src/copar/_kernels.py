@@ -4,8 +4,9 @@ Every function here operates on flat int64 arrays plus a small register file
 (regs) so the same code drives two callers: the stepwise Refinement API calls
 each phase once per step, and run_full() loops over rounds entirely inside
 compiled code. With numba installed the functions are njit-compiled (cached);
-without it they run as identical plain Python, slow but byte-for-byte
-equivalent in behaviour.
+without it the same code runs as plain Python over zero-copy memoryviews of
+the engine arrays (kernel_view), whose items read and write as plain ints, so
+behaviour is byte-for-byte equivalent.
 
 Register layout (indices into regs):
   counters:  NPARTS, NX, HSIZE, GEN, NREC, FREETOP, ROUNDS, MAXSPLIT, NDEL,
@@ -31,6 +32,13 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
             return f
 
         return deco
+
+
+def kernel_view(a):
+    """An engine array as the kernels take it: the array itself when compiled,
+    else a memoryview sharing its buffer, which indexes as plain ints where the
+    array would box a numpy scalar per access."""
+    return a if HAVE_NUMBA else memoryview(a)
 
 
 NREGS = 24

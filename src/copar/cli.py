@@ -4,7 +4,8 @@ Subcommands: sort (Wheeler preorder of an NFA), prune (inf/sup pruning of a
 DFA), colex (smallest-width co-lex order of a DFA), check (oracle checks of
 an order or partition against an automaton), gen (seeded inputs), bench
 (engine scaling). Exit codes: 0 success, 1 validation or contract error,
-2 check failed, 3 parse or I/O error.
+out of memory or engine invariant breach, 2 check failed, 3 parse or I/O
+error. Exits 1 and 3 explain themselves on stderr, never in a traceback.
 """
 
 from __future__ import annotations
@@ -176,8 +177,11 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(f"validation: {d}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

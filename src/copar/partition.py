@@ -150,7 +150,10 @@ class Refinement:
             K._heap_push(self.heap, regs, 0 * self.kmod + 0)
             regs[K.R_NCOMP] = 1
         self._pending: SplitterChoice | None = None
-        self._args = (
+        # The kernels take these views, never the arrays: the attributes
+        # above stay numpy and see every write the kernels make.
+        self._kregs = K.kernel_view(regs)
+        self._args = tuple(K.kernel_view(arr) for arr in (
             self.heap, self.xbeg, self.xend, self.xcnt, self.xof,
             self.elems, self.pos, self.partof, self.pbeg, self.pend,
             self.esrc, self.edst,
@@ -161,7 +164,7 @@ class Refinement:
             self.seen_gen, self.bcount, self.repedge,
             self.xs, self.d12, self.d11, self.xrec, self.xrec_gen,
             self.moved_cnt, self.touched, self.created, self.deleted,
-        )
+        ))
 
     # ------------------------------------------------------------------
     # stepwise operations
@@ -189,11 +192,9 @@ class Refinement:
         """
         if self._pending is not None:
             raise RuntimeError("previous splitter not yet consumed by three_way_split")
+        heap, xbeg, xend, xcnt, xof, elems, _pos, partof, pbeg, pend = self._args[:10]
+        K.select_splitter_kernel(self._kregs, heap, xbeg, xend, xcnt, xof, elems, partof, pbeg, pend)
         r = self.regs
-        K.select_splitter_kernel(
-            r, self.heap, self.xbeg, self.xend, self.xcnt, self.xof,
-            self.elems, self.partof, self.pbeg, self.pend,
-        )
         self._raise_status()
         if r[K.R_SPART] < 0:
             return None
@@ -225,7 +226,7 @@ class Refinement:
         r = self.regs
         ncreated0 = int(r[K.R_NCREATED])
         ndel0 = int(r[K.R_NDEL])
-        K.split_kernel(r, pm, *self._args)
+        K.split_kernel(self._kregs, pm, *self._args)
         self._raise_status()
         r[K.R_ROUNDS] += 1
         self._pending = None
@@ -387,27 +388,14 @@ def init_refinement(a: Automaton, letter_order: str = "ascending") -> Refinement
     return Refinement(a, letter_order)
 
 
-def select_splitter(ref: Refinement) -> SplitterChoice | None:
-    """Choose and consume the next splitter; None when refinement is done."""
-    return ref.select_splitter()
-
-
-def three_way_split(
-    ref: Refinement, choice: SplitterChoice, prune_mode: str = "off"
-) -> SplitReport:
-    """Apply the pending splitter; see Refinement.three_way_split."""
-    return ref.three_way_split(choice, prune_mode)
-
-
-def snapshot_partition(ref: Refinement) -> OrderedPartition:
-    """The refinement's current ordered partition."""
-    return ref.snapshot_partition()
-
-
 def run_refinement(ref: Refinement, prune_mode: str = "off") -> None:
-    """Refine to the fixpoint inside compiled code (the fast path)."""
+    """Refine to the fixpoint in one kernel call (the fast path).
+
+    The loop over rounds runs inside run_full: compiled with numba, else as
+    plain Python over zero-copy memoryviews of the engine arrays.
+    """
     if ref._pending is not None:
         raise RuntimeError("cannot run to completion with a pending splitter")
     pm = _prune_code(prune_mode)
-    K.run_full(ref.regs, pm, *ref._args, ref.n + 1)
+    K.run_full(ref._kregs, pm, *ref._args, ref.n + 1)
     ref._raise_status()

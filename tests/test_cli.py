@@ -6,7 +6,8 @@ import io
 
 import pytest
 
-from copar import cli
+from copar import _kernels as K
+from copar import automaton, cli
 from copar.automaton import parse_automaton, serialize_automaton, serialize_order
 from copar.examples import example_loop_dfa, example_unordered_nfa
 
@@ -133,6 +134,27 @@ def test_exit_code_1_on_validation_and_contract_errors(tmp_path, capsys):
     nfa.write_text(serialize_automaton(example_unordered_nfa()))
     assert cli.main(["prune", str(nfa), "--mode", "inf"]) == 1
     assert "DFA required" in capsys.readouterr().err
+
+
+def test_exit_code_1_on_memory_error(loop_path, capsys, monkeypatch):
+    # what numpy raises for `NFA 1000000000000 0 0 0`, without allocating
+    def too_big(a):
+        raise MemoryError("Unable to allocate 931. GiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(automaton, "reachable_mask", too_big)
+    assert cli.main(["sort", loop_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
+def test_exit_code_1_on_engine_status_error(loop_path, capsys, monkeypatch):
+    def breach(regs, *args):
+        regs[K.R_STATUS] = K.STATUS_HEAP_CAP
+
+    monkeypatch.setattr(K, "run_full", breach)
+    assert cli.main(["sort", loop_path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: refinement engine invariant breached (status {K.STATUS_HEAP_CAP})\n"
 
 
 def test_loop_fixture_matches_example():

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copar import _kernels as K
 from copar.automaton import Automaton
 from copar.examples import example_loop_dfa, example_quasi_wheeler_nfa
 from copar.generators import gen_random_dfa, gen_random_nfa
-from copar.partition import Refinement, init_refinement, run_refinement
+from copar.partition import PRUNE_MODES, Refinement, init_refinement, run_refinement
 
 
 def test_initial_layout_letter_orders():
@@ -170,3 +172,31 @@ def test_edge_free_automaton():
     assert ref.snapshot_partition().parts == [[0]]
     run_refinement(ref)
     assert ref.snapshot_partition().parts == [[0]]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("kind,mode", [("nfa", "off"), ("dfa", "keep-first")])
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_views_match_numpy_arrays(seed, kind, mode, order):
+    """run_refinement hands the kernels kernel_view()s of the engine arrays;
+    the same run_full on the raw numpy arrays is the reference."""
+    n = random.Random(seed).randint(2, 120)
+    if kind == "nfa":
+        a = gen_random_nfa(n, min(3, n - 1), seed, m=min(3 * (n - 1), n * (n - 1)))
+    else:
+        a = gen_random_dfa(n, min(4, n - 1), seed)
+    ref = init_refinement(a, order)
+    run_refinement(ref, mode)
+    base = init_refinement(a, order)
+    raw = [np.asarray(v) for v in base._args]
+    K.run_full(base.regs, PRUNE_MODES[mode], *raw, base.n + 1)
+    base._raise_status()
+    assert ref.rounds > 0
+    assert np.array_equal(ref.regs, base.regs)
+    for got, want in zip(ref._args, raw):
+        assert np.array_equal(np.asarray(got), want)
+    assert ref.snapshot_partition() == base.snapshot_partition()
+    assert ref.deleted_edge_ids() == base.deleted_edge_ids()
+    stepwise = init_refinement(a, order)
+    stepwise.run_to_completion(mode)
+    assert stepwise.snapshot_partition() == base.snapshot_partition()
