@@ -204,6 +204,8 @@ def parse_automaton(text: str) -> Automaton:
                 raise ParseError(lineno, f"need at least one state, got n={n}")
             if expected_m < 0 or sigma < 0:
                 raise ParseError(lineno, "edge count and alphabet size must be >= 0")
+            if max(n, sigma) > np.iinfo(np.int64).max:
+                raise ParseError(lineno, "state count and alphabet size must fit in int64")
             if not 0 <= source < n:
                 raise ParseError(lineno, f"source {source} out of range for n={n}")
             header = (n, expected_m, source, sigma)

@@ -4,8 +4,9 @@ A Refinement holds the whole engine state as flat arrays: the state sequence
 (elems/pos/partof), contiguous part and X-part spans, per-(state, X-part)
 count records with per-edge record pointers, mutable adjacency in CSR form
 with swap-remove deletion, and a lazily validated min-heap of compound
-X-part candidates. The same arrays feed the one-step methods here and the
-monolithic run in copar._kernels.
+X-part candidates. Refinement packs kernel views of these arrays into one
+copar._kernels.Engine record, which feeds both the one-step methods here and
+the monolithic run_full.
 """
 
 from __future__ import annotations
@@ -55,15 +56,13 @@ class Refinement:
         if letter_order not in ("ascending", "descending"):
             raise ValueError(f"letter_order must be 'ascending' or 'descending', got {letter_order!r}")
         n, m = a.n, a.m
-        if m:
-            pair = a.edst * (a.sigma + 1) + a.elab
-            if len(np.unique(pair)) != len(np.unique(a.edst)):
-                raise ValueError("states with conflicting in-letters; make the input consistent first")
+        lam = a.in_labels()
+        if m and np.any(a.elab != lam[a.edst]):
+            raise ValueError("states with conflicting in-letters; make the input consistent first")
         self.automaton = a
         self.letter_order = letter_order
         self.n = n
         self.m = m
-        lam = a.in_labels()
         if letter_order == "ascending":
             key = lam
         else:
@@ -153,18 +152,7 @@ class Refinement:
         # The kernels take these views, never the arrays: the attributes
         # above stay numpy and see every write the kernels make.
         self._kregs = K.kernel_view(regs)
-        self._args = tuple(K.kernel_view(arr) for arr in (
-            self.heap, self.xbeg, self.xend, self.xcnt, self.xof,
-            self.elems, self.pos, self.partof, self.pbeg, self.pend,
-            self.esrc, self.edst,
-            self.out_ptr, self.out_len, self.out_lst, self.out_pos,
-            self.in_ptr, self.in_len, self.in_lst, self.in_pos,
-            self.cnt_ref, self.cnt_val, self.free_stk,
-            self.bprime, self.binb_gen, self.splitcnt,
-            self.seen_gen, self.bcount, self.repedge,
-            self.xs, self.d12, self.d11, self.xrec, self.xrec_gen,
-            self.moved_cnt, self.touched, self.created, self.deleted,
-        ))
+        self._st = K.Engine(*(K.kernel_view(getattr(self, f)) for f in K.Engine._fields))
 
     # ------------------------------------------------------------------
     # stepwise operations
@@ -192,8 +180,7 @@ class Refinement:
         """
         if self._pending is not None:
             raise RuntimeError("previous splitter not yet consumed by three_way_split")
-        heap, xbeg, xend, xcnt, xof, elems, _pos, partof, pbeg, pend = self._args[:10]
-        K.select_splitter_kernel(self._kregs, heap, xbeg, xend, xcnt, xof, elems, partof, pbeg, pend)
+        K.select_splitter_kernel(self._kregs, self._st)
         r = self.regs
         self._raise_status()
         if r[K.R_SPART] < 0:
@@ -226,7 +213,7 @@ class Refinement:
         r = self.regs
         ncreated0 = int(r[K.R_NCREATED])
         ndel0 = int(r[K.R_NDEL])
-        K.split_kernel(self._kregs, pm, *self._args)
+        K.split_kernel(self._kregs, self._st, pm)
         self._raise_status()
         r[K.R_ROUNDS] += 1
         self._pending = None
@@ -397,5 +384,5 @@ def run_refinement(ref: Refinement, prune_mode: str = "off") -> None:
     if ref._pending is not None:
         raise RuntimeError("cannot run to completion with a pending splitter")
     pm = _prune_code(prune_mode)
-    K.run_full(ref._kregs, pm, *ref._args, ref.n + 1)
+    K.run_full(ref._kregs, ref._st, pm, ref.n + 1)
     ref._raise_status()

@@ -8,6 +8,7 @@ import numpy as np
 
 from copar.automaton import (
     Automaton,
+    Diagnostic,
     OrderedPartition,
     ValidationError,
     quotient,
@@ -34,10 +35,31 @@ class WheelerPreorder:
 
 
 def require_clean(a: Automaton) -> None:
-    """Raise ValidationError unless validate(a) is silent."""
+    """Raise ValidationError unless validate(a) is silent.
+
+    A clean automaton has n <= m + 1 and sigma <= m, since every state but
+    the source needs an in-edge and every letter labels an edge. A header
+    beyond either is refused in O(m), before validate allocates per state
+    or per letter, naming the smallest state or letter that is missed.
+    """
+    if a.n > a.m + 1:
+        v = _first_missing(np.append(a.edst, a.source), a.m + 2)
+        message = f"state is unreachable from the source; {a.m} edges cannot reach {a.n - 1} states"
+        raise ValidationError([Diagnostic("unreachable", v, message)])
+    if a.sigma > a.m:
+        c = _first_missing(a.elab, a.m + 1)
+        message = f"letter labels no edge; {a.m} edges cannot use {a.sigma} letters"
+        raise ValidationError([Diagnostic("unused-letter", c, message)])
     diagnostics = validate(a)
     if diagnostics:
         raise ValidationError(diagnostics)
+
+
+def _first_missing(values: np.ndarray, k: int) -> int:
+    """Smallest of 0..k-1 not among values; exists when len(values) < k."""
+    seen = np.zeros(k, dtype=bool)
+    seen[values[values < k]] = True
+    return int(np.flatnonzero(~seen)[0])
 
 
 def refine_all(a: Automaton, letter_order: str = "ascending") -> OrderedPartition:

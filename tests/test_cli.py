@@ -7,7 +7,7 @@ import io
 import pytest
 
 from copar import _kernels as K
-from copar import automaton, cli
+from copar import automaton, cli, refine
 from copar.automaton import parse_automaton, serialize_automaton, serialize_order
 from copar.examples import example_loop_dfa, example_unordered_nfa
 
@@ -137,7 +137,7 @@ def test_exit_code_1_on_validation_and_contract_errors(tmp_path, capsys):
 
 
 def test_exit_code_1_on_memory_error(loop_path, capsys, monkeypatch):
-    # what numpy raises for `NFA 1000000000000 0 0 0`, without allocating
+    # what numpy raises for an array too large to allocate, without allocating
     def too_big(a):
         raise MemoryError("Unable to allocate 931. GiB for an array with shape (1000000000000,)")
 
@@ -145,6 +145,32 @@ def test_exit_code_1_on_memory_error(loop_path, capsys, monkeypatch):
     assert cli.main(["sort", loop_path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
+def test_exit_code_3_on_header_ids_beyond_int64(capsys, monkeypatch):
+    text = "NFA 100000000000000000000 1 0 1\n0 99999999999999999999 0\n"
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
+    assert cli.main(["sort", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 1: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text,diagnostic",
+    [
+        ("NFA 1000000000000 0 0 0\n", "unreachable(1)"),
+        ("NFA 2 1 0 9223372036854775807\n0 1 0\n", "unused-letter(1)"),
+    ],
+)
+def test_header_beyond_m_is_refused_before_allocating(text, diagnostic, capsys, monkeypatch):
+    def allocates(a):
+        raise AssertionError("validate allocates per state and per letter")
+
+    monkeypatch.setattr(refine, "validate", allocates)
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
+    assert cli.main(["sort", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation: {diagnostic}: ") and err.count("\n") == 1
 
 
 def test_exit_code_1_on_engine_status_error(loop_path, capsys, monkeypatch):

@@ -30,6 +30,10 @@ def test_init_rejects_in_label_conflicts():
     conflicted = Automaton(3, 2, 0, [(0, 1, 0), (0, 2, 1), (2, 1, 1)])
     with pytest.raises(ValueError, match="consistent"):
         init_refinement(conflicted)
+    # state 2 takes letters {0, 1}, the larger one stored first
+    conflicted = Automaton(4, 2, 0, [(0, 2, 1), (0, 1, 0), (1, 2, 0), (0, 3, 1)])
+    with pytest.raises(ValueError, match="consistent"):
+        Refinement(conflicted, "descending")
 
 
 def test_stepwise_trace_quasi_fixture():
@@ -188,12 +192,12 @@ def test_kernel_views_match_numpy_arrays(seed, kind, mode, order):
     ref = init_refinement(a, order)
     run_refinement(ref, mode)
     base = init_refinement(a, order)
-    raw = [np.asarray(v) for v in base._args]
-    K.run_full(base.regs, PRUNE_MODES[mode], *raw, base.n + 1)
+    raw = K.Engine(*(np.asarray(v) for v in base._st))
+    K.run_full(base.regs, raw, PRUNE_MODES[mode], base.n + 1)
     base._raise_status()
     assert ref.rounds > 0
     assert np.array_equal(ref.regs, base.regs)
-    for got, want in zip(ref._args, raw):
+    for got, want in zip(ref._st, raw):
         assert np.array_equal(np.asarray(got), want)
     assert ref.snapshot_partition() == base.snapshot_partition()
     assert ref.deleted_edge_ids() == base.deleted_edge_ids()
