@@ -7,6 +7,7 @@ lines ``<from> <to> <letter>``; ``#`` starts a comment anywhere on a line.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -87,8 +88,7 @@ class Automaton:
                 raise ValueError("edge endpoint out of range")
             if elab.min() < 0 or elab.max() >= sigma:
                 raise ValueError("edge letter out of range")
-            key = (esrc * n + edst) * max(sigma, 1) + elab
-            if len(np.unique(key)) != m:
+            if _has_repeated_rows(esrc, edst, elab):
                 raise ValueError("duplicate edges are not allowed")
         self.n = int(n)
         self.sigma = int(sigma)
@@ -123,9 +123,10 @@ class Automaton:
             lam = np.full(self.n, -1, dtype=np.int64)
             if self.m:
                 order = np.lexsort((self.elab, self.edst))
-                # visit larger letters first so the smallest per state wins
-                for i in order[::-1]:
-                    lam[self.edst[i]] = self.elab[i]
+                dst = self.edst[order]
+                # the first row of each target's run carries its smallest letter
+                first = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+                lam[dst[first]] = self.elab[order[first]]
             self._lam = lam
         return self._lam
 
@@ -151,8 +152,7 @@ class Automaton:
         """True when no state has two out-edges with the same letter."""
         if self.m == 0:
             return True
-        key = self.esrc * max(self.sigma, 1) + self.elab
-        return len(np.unique(key)) == self.m
+        return not _has_repeated_rows(self.esrc, self.elab)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Automaton):
@@ -168,6 +168,17 @@ class Automaton:
         return f"Automaton(n={self.n}, m={self.m}, source={self.source}, sigma={self.sigma})"
 
 
+def _has_repeated_rows(*cols: np.ndarray) -> bool:
+    """True when two positions agree in every column (a sort, not a packed key,
+    so no column product can wrap around int64)."""
+    order = np.lexsort(cols[::-1])
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for col in cols:
+        c = col[order]
+        same &= c[1:] == c[:-1]
+    return bool(same.any())
+
+
 def _strip_comment(line: str) -> str:
     hash_pos = line.find("#")
     if hash_pos >= 0:
@@ -180,7 +191,98 @@ def parse_automaton(text: str) -> Automaton:
 
     Duplicate edge lines are dropped with a DuplicateEdgeWarning. Malformed
     input raises ParseError with the offending 1-based line number.
+
+    A well-formed body (ASCII digits and whitespace only, three fields on
+    each non-blank line, no duplicate edge) is converted in one numpy call;
+    anything else is parsed again line by line, which gives the errors and
+    warnings their line numbers.
     """
+    a = _parse_vectorized(text)
+    return a if a is not None else _parse_lines(text)
+
+
+def _parse_header(lineno: int, fields: list[str]) -> tuple[int, int, int, int]:
+    """(n, m, source, sigma) of a header line split into fields."""
+    if fields[0] != "NFA":
+        raise ParseError(lineno, f"expected 'NFA' header, got {fields[0]!r}")
+    if len(fields) != 5:
+        raise ParseError(lineno, "header needs exactly 'NFA <n> <m> <source> <sigma>'")
+    try:
+        n, m, source, sigma = (int(f) for f in fields[1:])
+    except ValueError:
+        raise ParseError(lineno, "header fields must be integers") from None
+    if n < 1:
+        raise ParseError(lineno, f"need at least one state, got n={n}")
+    if m < 0 or sigma < 0:
+        raise ParseError(lineno, "edge count and alphabet size must be >= 0")
+    if max(n, sigma) > np.iinfo(np.int64).max:
+        raise ParseError(lineno, "state count and alphabet size must fit in int64")
+    if not 0 <= source < n:
+        raise ParseError(lineno, f"source {source} out of range for n={n}")
+    return n, m, source, sigma
+
+
+# characters other than "\n" on which str.splitlines breaks a line
+_LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# bytes a body may hold on the vectorized path: digits, space, tab, CR, LF
+_BODY_BYTES = np.zeros(256, dtype=bool)
+_BODY_BYTES[[ord(c) for c in "0123456789 \t\r\n"]] = True
+# longer digit runs may not fit in int64
+_MAX_DIGITS = 18
+
+
+def _parse_vectorized(text: str) -> Automaton | None:
+    """The automaton of a well-formed text, or None to make the caller parse it
+    line by line (on any input it might not read as _parse_lines does)."""
+    pos = 0
+    while True:  # find the header, splitting lines on "\n" only
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line = text[pos:end].removesuffix("\r")
+        if _LINE_BREAKS.search(line):
+            return None
+        fields = _strip_comment(line).split()
+        pos = end + 1
+        if fields:
+            break
+        if end == len(text):
+            return None
+    try:
+        n, m, source, sigma = _parse_header(0, fields)
+    except ParseError:
+        return None
+    body = text[pos:]
+    if not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if not _BODY_BYTES[b].all():
+        return None
+    cr = np.flatnonzero(b == 13)
+    if cr.size and (cr[-1] + 1 == b.size or np.any(b[cr + 1] != 10)):
+        return None  # a lone "\r" ends a line for str.splitlines
+    digit = np.concatenate(([False], b >= ord("0"), [False]))  # only digits pass >= "0"
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    if starts.size != 3 * m or (m and int((ends - starts).max()) > _MAX_DIGITS):
+        return None
+    before = np.searchsorted(starts, np.flatnonzero(b == 10))
+    per_line = np.diff(before, prepend=0, append=starts.size)
+    if np.any((per_line != 0) & (per_line != 3)):
+        return None
+    if not m:
+        return Automaton(n, sigma, source, [])
+    vals = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if vals.size != 3 * m:
+        return None
+    try:  # an endpoint or letter out of range, or a duplicate edge
+        return Automaton(n, sigma, source, (vals[0::3], vals[1::3], vals[2::3]))
+    except ValueError:
+        return None
+
+
+def _parse_lines(text: str) -> Automaton:
+    """parse_automaton one line at a time, for any input."""
     header: tuple[int, int, int, int] | None = None
     edges: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
@@ -192,23 +294,8 @@ def parse_automaton(text: str) -> Automaton:
             continue
         fields = line.split()
         if header is None:
-            if fields[0] != "NFA":
-                raise ParseError(lineno, f"expected 'NFA' header, got {fields[0]!r}")
-            if len(fields) != 5:
-                raise ParseError(lineno, "header needs exactly 'NFA <n> <m> <source> <sigma>'")
-            try:
-                n, expected_m, source, sigma = (int(f) for f in fields[1:])
-            except ValueError:
-                raise ParseError(lineno, "header fields must be integers") from None
-            if n < 1:
-                raise ParseError(lineno, f"need at least one state, got n={n}")
-            if expected_m < 0 or sigma < 0:
-                raise ParseError(lineno, "edge count and alphabet size must be >= 0")
-            if max(n, sigma) > np.iinfo(np.int64).max:
-                raise ParseError(lineno, "state count and alphabet size must fit in int64")
-            if not 0 <= source < n:
-                raise ParseError(lineno, f"source {source} out of range for n={n}")
-            header = (n, expected_m, source, sigma)
+            header = _parse_header(lineno, fields)
+            expected_m = header[1]
             continue
         if len(edges) + dupes >= expected_m:
             raise ParseError(lineno, f"more than the declared {expected_m} edges")
@@ -228,7 +315,7 @@ def parse_automaton(text: str) -> Automaton:
             warnings.warn(
                 f"line {lineno}: duplicate edge ({u}, {v}, {a}) dropped",
                 DuplicateEdgeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             continue
         seen.add((u, v, a))
@@ -327,21 +414,32 @@ def make_input_consistent(a: Automaton) -> tuple[Automaton, list[int]]:
     so the result has at most sigma * n states. An already consistent
     automaton comes back unchanged with the identity mapping.
     """
-    in_letters: list[set[int]] = [set() for _ in range(a.n)]
-    for _, v, c in a.edges():
-        in_letters[v].add(c)
-    copies: list[tuple[int, int]] = [(a.source, -1)]  # the start copy takes no in-letter
-    for v in range(a.n):
-        for c in sorted(in_letters[v]):
-            copies.append((v, c))
-    index = {vc: i for i, vc in enumerate(copies)}
-    edges = []
-    for i, (u, _) in enumerate(copies):
-        for v, c in a.out_map()[u]:
-            edges.append((i, index[(v, c)], c))
-    edges = sorted(set(edges))
-    mapping = [v for v, _ in copies]
-    return Automaton(len(copies), a.sigma, 0, edges), mapping
+    # copy 0 is the start copy of the source, with no in-letter; copy 1 + i
+    # is the i-th distinct (target, letter) pair in sorted order
+    order = np.lexsort((a.elab, a.edst))
+    dst, lab = a.edst[order], a.elab[order]
+    new_pair = np.ones(a.m, dtype=bool)
+    new_pair[1:] = (dst[1:] != dst[:-1]) | (lab[1:] != lab[:-1])
+    pair_state = dst[new_pair]
+    into = np.empty(a.m, dtype=np.int64)  # copy id entered by each edge
+    into[order] = np.cumsum(new_pair)
+    # every copy of an edge's source gets the edge: the copies of u are the
+    # pairs lo..hi-1 of u, plus the start copy when u is the source
+    lo = np.searchsorted(pair_state, a.esrc, side="left")
+    hi = np.searchsorted(pair_state, a.esrc, side="right")
+    count = hi - lo
+    edge = np.repeat(np.arange(a.m), count)
+    # the k-th row made from edge e leaves copy 1 + lo[e] + k
+    src = 1 + np.arange(edge.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    from_start = np.flatnonzero(a.esrc == a.source)
+    src = np.concatenate((src, np.zeros(from_start.size, dtype=np.int64)))
+    edge = np.concatenate((edge, from_start))
+    dst, lab = into[edge], a.elab[edge]
+    # distinct input edges give distinct rows, so sorting is all that
+    # sorted(set(...)) would do
+    rows = np.lexsort((lab, dst, src))
+    ic = Automaton(1 + pair_state.size, a.sigma, 0, (src[rows], dst[rows], lab[rows]))
+    return ic, [a.source] + pair_state.tolist()
 
 
 def reverse_automaton(a: Automaton) -> Automaton:

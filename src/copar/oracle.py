@@ -131,10 +131,12 @@ def check_wheeler_order(a: Automaton, order: Sequence[int]) -> OrderCheck:
         u, v = order[i], order[i + 1]
         if lam[u] > lam[v]:
             return OrderCheck(False, "letter-order", (u, v))
-    for c in range(a.sigma):
-        edges_c = sorted(
-            ((pos[u], pos[v], u, v) for u, v, letter in a.edges() if letter == c),
-        )
+    # a letter that labels no edge adds no constraint, so only used ones are visited
+    by_letter: dict[int, list[tuple[int, int, int, int]]] = {}
+    for u, v, c in a.edges():
+        by_letter.setdefault(c, []).append((pos[u], pos[v], u, v))
+    for c in sorted(by_letter):
+        edges_c = sorted(by_letter[c])
         prev_max_pos = -1
         prev_max_edge: tuple[int, int] | None = None
         i = 0

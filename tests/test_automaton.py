@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copar import automaton
 from copar.automaton import (
     Automaton,
     DuplicateEdgeWarning,
@@ -37,6 +40,23 @@ def test_constructor_rejects_bad_edges():
         Automaton(2, 1, 2, [(0, 1, 0)])
     with pytest.raises(ValueError):
         Automaton(2, 1, 0, [(0, 1, 0), (0, 1, 0)])
+
+
+def test_duplicate_check_does_not_wrap_on_large_headers():
+    # (src * n + dst) * sigma + letter would wrap around int64 here
+    a = Automaton(2**62, 1, 0, [(0, 5, 0), (4, 5, 0)])
+    assert a.m == 2
+    assert Automaton(2**62, 4, 0, [(0, 1, 0), (2**62 - 1, 1, 0)]).m == 2
+    assert Automaton(8, 2**62, 0, [(0, 1, 0), (4, 1, 0)]).is_deterministic()
+    assert not Automaton(3, 2**62, 0, [(0, 1, 2**62 - 1), (0, 2, 2**62 - 1)]).is_deterministic()
+
+
+def test_in_labels_takes_the_smallest_letter():
+    edges = [(0, 3, 2), (0, 1, 1), (1, 3, 0), (2, 1, 2), (0, 3, 1)]
+    a = Automaton(5, 3, 0, edges)
+    assert a.in_labels().tolist() == [-1, 1, -1, 0, -1]
+    rev = Automaton(5, 3, 0, edges[::-1])
+    assert rev.in_labels().tolist() == [-1, 1, -1, 0, -1]
 
 
 def test_basic_accessors():
@@ -97,6 +117,30 @@ def test_make_input_consistent_splits_conflicts():
     same, ident = make_input_consistent(b)
     assert same == b
     assert ident == list(range(b.n))
+
+
+def _make_input_consistent_by_sets(a):
+    """make_input_consistent spelled out with one set of in-letters per state."""
+    in_letters = [set() for _ in range(a.n)]
+    for _, v, c in a.edges():
+        in_letters[v].add(c)
+    copies = [(a.source, -1)] + [(v, c) for v in range(a.n) for c in sorted(in_letters[v])]
+    index = {vc: i for i, vc in enumerate(copies)}
+    edges = sorted(
+        (i, index[(v, c)], c) for i, (u, _) in enumerate(copies) for v, c in a.out_map()[u]
+    )
+    return len(copies), edges, [v for v, _ in copies]
+
+
+@given(st.integers(1, 7), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_make_input_consistent_matches_set_construction(n, sigma, rng):
+    edges = list({(rng.randrange(n), rng.randrange(n), rng.randrange(sigma))
+                  for _ in range(rng.randint(0, 16) if sigma else 0)})
+    rng.shuffle(edges)
+    a = Automaton(n, sigma, rng.randrange(n), edges)
+    ic, mapping = make_input_consistent(a)
+    assert (ic.n, list(ic.edges()), mapping) == _make_input_consistent_by_sets(a)
+    assert (ic.sigma, ic.source) == (a.sigma, 0)
 
 
 def test_reverse_automaton_flips_edges():
@@ -160,3 +204,131 @@ def test_serialization_round_trip_random(n, extra, rng):
     b = parse_automaton(serialize_automaton(a))
     assert a == b
     assert np.array_equal(a.in_labels(), b.in_labels())
+
+
+# --- parse_automaton: vectorized path against the line-by-line parse ---
+
+
+def _outcome(parse, text):
+    """(automaton fields in storage order, or the ParseError text; warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            a = parse(text)
+            result = (a.n, a.sigma, a.source, a.esrc.tolist(), a.edst.tolist(), a.elab.tolist())
+        except ParseError as exc:
+            result = ("ParseError", str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@st.composite
+def nfa_texts(draw):
+    """NFA texts that are mostly well formed, with the anomalies the parse
+    must hand to the line loop mixed in."""
+    n = draw(st.integers(1, 5))
+    sigma = draw(st.integers(0, 3))
+    source = draw(st.integers(0, n - 1))
+    noise = ["+1", "-1", "٣", "1" * 25, "0" * 19 + "1", str(n)]
+
+    def field(value):
+        return draw(st.sampled_from([str(value)] * 6 + [f"0{value}"] + noise))
+
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(state, state, st.integers(0, max(sigma - 1, 0))), max_size=8))
+    body = []
+    for edge in edges:
+        fields = [field(x) for x in edge]
+        if draw(st.integers(0, 9)) == 0:
+            fields = fields[: draw(st.integers(0, 4))] + ["0"] * draw(st.integers(0, 1))
+        line = draw(st.sampled_from([" ", "\t", " \t "])).join(fields)
+        line += draw(st.sampled_from([""] * 6 + [" ", "# c", " # edge"]))
+        body.append(line)
+        if draw(st.integers(0, 7)) == 0:
+            body.append(line)  # a duplicate edge line
+        body.extend(draw(st.lists(st.sampled_from(["", "  ", "# note", "\t"]), max_size=1)))
+    m = len([ln for ln in body if automaton._strip_comment(ln)]) + draw(
+        st.sampled_from([0] * 6 + [-1, 1])
+    )
+    header = draw(st.sampled_from([[], ["# seed 7"], ["", "# a", "  "]]))
+    lines = header + [f"NFA {n} {m} {source} {sigma}" + draw(st.sampled_from(["", " # h"]))] + body
+    breaks = ["\n"] * 8 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c"]
+    text = "".join(ln + draw(st.sampled_from(breaks)) for ln in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfa_texts())
+def test_parse_matches_line_loop(text):
+    assert _outcome(parse_automaton, text) == _outcome(automaton._parse_lines, text)
+
+
+@pytest.fixture
+def line_loop_calls(monkeypatch):
+    """The texts parse_automaton hands to the line-by-line parse."""
+    calls = []
+    loop = automaton._parse_lines
+
+    def spy(text):
+        calls.append(text)
+        return loop(text)
+
+    monkeypatch.setattr(automaton, "_parse_lines", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "NFA 3 2 0 1\n0 1 0\n0 2 0\n",
+        "# seed 7\n\nNFA 3 2 0 1 # header\n0 1 0\n\n  \n0\t2   0",
+        "NFA 3 2 0 1\r\n0 1 0\r\n0 2 0\r\n",
+        "NFA 3 2 0 2\n00 01 001\n0 2 0\n",
+        "NFA 1000000000000 0 0 0\n",
+        "NFA 2 0 0 1\n\n\n",
+    ],
+)
+def test_well_formed_text_is_parsed_without_the_line_loop(text, line_loop_calls):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_automaton(text)
+    assert line_loop_calls == []
+    assert _outcome(parse_automaton, text) == _outcome(automaton._parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "NFA 3 3 0 1\n0 1 0\n0 2 0\n0 1 0\n",  # duplicate edge
+        "NFA 3 2 0 1\n0 1 0 # edge\n0 2 0\n",  # '#' after the header
+        "NFA 3 2 0 1\n0 1 0\n0 0000000000000000002 0\n",  # 19 digits
+        "NFA 3 2 0 1\n0 1 0\n0 ٢ 0\n",  # non-ASCII digit
+        "NFA 3 2 0 1\n0 +1 0\n0 2 0\n",  # sign
+        "NFA 3 2 0 1\n0 1 0\n0 -1 0\n",  # negative endpoint
+        "NFA 3 2 0 1\n0 1 0\r0 2 0\n",  # lone CR
+        "NFA 3 2 0 1\n0 1\r0\n0 2 0\n",  # lone CR inside a 3-token line
+        "NFA 3 2 0 1\n0 1 0\x0b0 2 0\n",  # vertical tab
+        "NFA 3 2 0 1\n0 1 0\x0c0 2 0\n",  # form feed
+        "NFA 3 2 0 1\n0 1 0\x1c0 2 0\n",  # file separator
+        "# c\rNFA 3 2 0 1\n0 1 0\n0 2 0\n",  # lone CR before the header
+        "# c\x0bNFA 2 0 0 1\nNFA 3 0 0 1\n",  # a header the comment does not hide
+        "NFA 3 2 0 1\n0 3 0\n0 2 0\n",  # endpoint out of range
+        "NFA 3 2 0 1\n0 1 1\n0 2 0\n",  # letter out of range
+        "NFA 3 2 0 3\n0 1 0 1\n2 2\n",  # wrong field count, right total
+        "NFA 3 3 0 1\n0 1 0\n0 2 0\n",  # fewer edges than declared
+        "NFA 3 1 0 1\n0 1 0\n0 2 0\n",  # more edges than declared
+        "NFA 3 2 0\n0 1 0\n0 2 0\n",  # bad header
+        "",  # no header
+    ],
+)
+def test_anomalies_fall_back_to_the_line_loop(text, line_loop_calls):
+    got = _outcome(parse_automaton, text)
+    assert line_loop_calls == [text]
+    assert got == _outcome(automaton._parse_lines, text)
+
+
+def test_fallback_keeps_line_numbers_and_warning_texts():
+    result, caught = _outcome(parse_automaton, "NFA 3 3 0 1\n\n0 1 0\n0 2 0\n0 1 0\n")
+    assert result == (3, 1, 0, [0, 0], [1, 2], [0, 0])
+    assert caught == [(DuplicateEdgeWarning, "line 5: duplicate edge (0, 1, 0) dropped")]
+    result, _ = _outcome(parse_automaton, "NFA 3 2 0 1\n0 1 0\n0 1\r0\n")
+    assert result == ("ParseError", "line 3: edge line needs exactly '<from> <to> <letter>'")

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import pytest
 
 from copar import _kernels as K
-from copar import automaton, cli, refine
+from copar import automaton, cli, oracle, refine
 from copar.automaton import parse_automaton, serialize_automaton, serialize_order
 from copar.examples import example_loop_dfa, example_unordered_nfa
 
@@ -171,6 +172,56 @@ def test_header_beyond_m_is_refused_before_allocating(text, diagnostic, capsys, 
     assert cli.main(["sort", "-"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"validation: {diagnostic}: ") and err.count("\n") == 1
+
+
+def test_distinct_edges_of_a_large_header_are_not_duplicates(capsys, monkeypatch):
+    # a packed (src * n + dst) * sigma + letter key wraps around int64 here
+    text = "NFA 4611686018427387904 2 0 1\n0 5 0\n4 5 0\n"
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
+    assert cli.main(["sort", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation: unreachable(1): ") and err.count("\n") == 1
+
+
+def _no_long_range(module, monkeypatch, limit=1000):
+    """Make range() in `module` refuse more than `limit` steps."""
+
+    def short_range(*args):
+        r = range(*args)
+        assert len(r) <= limit, f"range of {len(r)} steps"
+        return r
+
+    monkeypatch.setattr(module, "range", short_range, raising=False)
+
+
+def test_make_ic_ignores_the_header_state_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO("NFA 2 0 0 0\n"))
+    assert cli.main(["colex", "-", "--make-ic"]) == 0
+    small = capsys.readouterr().out
+    assert small.startswith("# ic 0 <- 0\nRANKS 1\n")
+    _no_long_range(automaton, monkeypatch)
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO("NFA 1000000000000 0 0 0\n"))
+    tracemalloc.start()
+    try:
+        assert cli.main(["colex", "-", "--make-ic"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == small
+    assert peak < 1 << 20
+
+
+def test_check_order_visits_only_used_letters(tmp_path, capsys, monkeypatch):
+    nfa = tmp_path / "wide.nfa"
+    nfa.write_text("NFA 3 2 0 1000000\n0 1 7\n0 2 999999\n")
+    good, bad = tmp_path / "good.order", tmp_path / "bad.order"
+    good.write_text(serialize_order([0, 1, 2]))
+    bad.write_text(serialize_order([0, 2, 1]))
+    _no_long_range(oracle, monkeypatch)
+    assert cli.main(["check", str(nfa), "--order", str(good)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert cli.main(["check", str(nfa), "--order", str(bad)]) == 2
+    assert "FAIL: letter-order (2, 1)" in capsys.readouterr().out
 
 
 def test_exit_code_1_on_engine_status_error(loop_path, capsys, monkeypatch):
