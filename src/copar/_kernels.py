@@ -507,22 +507,15 @@ def split_kernel(regs, st, prune_mode):
             deleted,
         )
     bfirst = regs[R_BFIRST]
-    if prune_mode == PRUNE_OFF:
+    # with pruning only one move runs: all of xs when the kept side is B's,
+    # else just the D_12 states
+    keeps_b = (prune_mode == PRUNE_KEEP_FIRST) == (bfirst == 1)
+    if prune_mode == PRUNE_OFF or keeps_b:
         _move_split(
             regs, xs, regs[R_NXS], bfirst, heap, xbeg, xcnt, xof,
             elems, pos, partof, pbeg, pend, moved_cnt, touched, created,
         )
-        if regs[R_STATUS] == STATUS_OK:
-            _move_split(
-                regs, d12, regs[R_N12], bfirst, heap, xbeg, xcnt, xof,
-                elems, pos, partof, pbeg, pend, moved_cnt, touched, created,
-            )
-    elif (prune_mode == PRUNE_KEEP_FIRST) == (bfirst == 1):
-        _move_split(
-            regs, xs, regs[R_NXS], bfirst, heap, xbeg, xcnt, xof,
-            elems, pos, partof, pbeg, pend, moved_cnt, touched, created,
-        )
-    else:
+    if regs[R_STATUS] == STATUS_OK and (prune_mode == PRUNE_OFF or not keeps_b):
         _move_split(
             regs, d12, regs[R_N12], bfirst, heap, xbeg, xcnt, xof,
             elems, pos, partof, pbeg, pend, moved_cnt, touched, created,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -56,7 +56,7 @@ class Automaton:
     deduplicate text input with a warning instead.
     """
 
-    __slots__ = ("n", "sigma", "source", "esrc", "edst", "elab", "_lam", "_out", "_in")
+    __slots__ = ("n", "sigma", "source", "esrc", "edst", "elab", "_lam", "_out")
 
     def __init__(
         self,
@@ -88,7 +88,7 @@ class Automaton:
                 raise ValueError("edge endpoint out of range")
             if elab.min() < 0 or elab.max() >= sigma:
                 raise ValueError("edge letter out of range")
-            if _has_repeated_rows(esrc, edst, elab):
+            if not sorted_runs(esrc, edst, elab)[1].all():  # a repeated row starts no run
                 raise ValueError("duplicate edges are not allowed")
         self.n = int(n)
         self.sigma = int(sigma)
@@ -98,7 +98,6 @@ class Automaton:
         self.elab = elab
         self._lam: np.ndarray | None = None
         self._out: list[list[tuple[int, int]]] | None = None
-        self._in: list[list[tuple[int, int]]] | None = None
 
     @property
     def m(self) -> int:
@@ -139,20 +138,9 @@ class Automaton:
             self._out = out
         return self._out
 
-    def in_map(self) -> list[list[tuple[int, int]]]:
-        """Adjacency in_map()[v] = [(u, letter), ...] in storage order."""
-        if self._in is None:
-            inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for u, v, a in self.edges():
-                inc[v].append((u, a))
-            self._in = inc
-        return self._in
-
     def is_deterministic(self) -> bool:
         """True when no state has two out-edges with the same letter."""
-        if self.m == 0:
-            return True
-        return not _has_repeated_rows(self.esrc, self.elab)
+        return bool(sorted_runs(self.esrc, self.elab)[1].all())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Automaton):
@@ -168,15 +156,33 @@ class Automaton:
         return f"Automaton(n={self.n}, m={self.m}, source={self.source}, sigma={self.sigma})"
 
 
-def _has_repeated_rows(*cols: np.ndarray) -> bool:
-    """True when two positions agree in every column (a sort, not a packed key,
-    so no column product can wrap around int64)."""
+def sorted_runs(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of equal-length columns, the first column most significant.
+
+    Returns (order, new): the stable np.lexsort order of the rows, and a
+    mask over the sorted rows that is True on the first row and wherever a
+    row differs from the row before it. order[new] holds one row per
+    distinct value, in sorted order. Nothing is packed into one key, so no
+    product of columns can wrap around int64.
+    """
     order = np.lexsort(cols[::-1])
-    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
     for col in cols:
         c = col[order]
-        same &= c[1:] == c[:-1]
-    return bool(same.any())
+        new[1:] |= c[1:] != c[:-1]
+    return order, new
+
+
+def csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency of rows grouped by keys in 0..n-1: (rows, start, degree).
+
+    rows lists the row ids stably sorted by key; the rows of key v are
+    rows[start[v] : start[v] + degree[v]].
+    """
+    rows = np.argsort(keys, kind="stable")
+    degree = np.bincount(keys, minlength=n)
+    return rows, np.cumsum(degree) - degree, degree
 
 
 def _strip_comment(line: str) -> str:
@@ -348,12 +354,9 @@ def reachable_mask(a: Automaton) -> np.ndarray:
     visited[a.source] = True
     if a.m == 0:
         return visited
-    order = np.argsort(a.esrc, kind="stable")
-    dst_by_src = a.edst[order]
-    deg = np.bincount(a.esrc, minlength=n)
-    ptr = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        ptr[1:] = np.cumsum(deg)[:-1]
+    rows, ptr, deg = csr(a.esrc, n)
+    dst_by_src = a.edst[rows]
+    slot = np.empty(n, dtype=np.int64)
     frontier = np.array([a.source], dtype=np.int64)
     while frontier.size:
         starts = ptr[frontier]
@@ -367,7 +370,11 @@ def reachable_mask(a: Automaton) -> np.ndarray:
         targets = targets[~visited[targets]]
         if targets.size == 0:
             break
-        frontier = np.unique(targets)
+        # dedupe without a sort: of the positions written to a target's
+        # slot, exactly one sticks
+        at = np.arange(targets.size)
+        slot[targets] = at
+        frontier = targets[slot[targets] == at]
         visited[frontier] = True
     return visited
 
@@ -386,14 +393,18 @@ def validate(a: Automaton) -> list[Diagnostic]:
     if a.m:
         if bool(np.any(a.edst == a.source)):
             out.append(Diagnostic("source-in-edge", a.source, "source state has an in-edge"))
-        pairs = np.unique(a.edst * np.int64(a.sigma + 1) + a.elab)
-        pair_dst = pairs // (a.sigma + 1)
-        letters_per_state = np.bincount(pair_dst, minlength=a.n)
-        for v in np.flatnonzero(letters_per_state > 1):
-            letters = ",".join(str(int(c % (a.sigma + 1))) for c in pairs[pair_dst == v])
+        order, new = sorted_runs(a.edst, a.elab)
+        pair_dst, pair_lab = a.edst[order[new]], a.elab[order[new]]
+        # each state's distinct letters are one run of the sorted pairs
+        lo = np.flatnonzero(np.r_[True, pair_dst[1:] != pair_dst[:-1]])
+        hi = np.r_[lo[1:], pair_dst.size]
+        for i in np.flatnonzero(hi - lo > 1):
+            letters = ",".join(str(c) for c in pair_lab[lo[i] : hi[i]].tolist())
             out.append(
                 Diagnostic(
-                    "in-label-conflict", int(v), f"in-edges carry distinct letters {{{letters}}}"
+                    "in-label-conflict",
+                    int(pair_dst[lo[i]]),
+                    f"in-edges carry distinct letters {{{letters}}}",
                 )
             )
     used = np.zeros(a.sigma, dtype=bool)
@@ -416,11 +427,8 @@ def make_input_consistent(a: Automaton) -> tuple[Automaton, list[int]]:
     """
     # copy 0 is the start copy of the source, with no in-letter; copy 1 + i
     # is the i-th distinct (target, letter) pair in sorted order
-    order = np.lexsort((a.elab, a.edst))
-    dst, lab = a.edst[order], a.elab[order]
-    new_pair = np.ones(a.m, dtype=bool)
-    new_pair[1:] = (dst[1:] != dst[:-1]) | (lab[1:] != lab[:-1])
-    pair_state = dst[new_pair]
+    order, new_pair = sorted_runs(a.edst, a.elab)
+    pair_state = a.edst[order[new_pair]]
     into = np.empty(a.m, dtype=np.int64)  # copy id entered by each edge
     into[order] = np.cumsum(new_pair)
     # every copy of an edge's source gets the edge: the copies of u are the
@@ -465,12 +473,10 @@ def quotient(a: Automaton, p: OrderedPartition) -> Automaton:
     source_cls = int(cls[a.source])
     if len(p.parts[source_cls]) != 1:
         raise ValueError("source class must be a singleton")
-    k = np.int64(p.k)
-    width = np.int64(a.sigma + 1)
-    key = np.unique((cls[a.esrc] * k + cls[a.edst]) * width + a.elab)
-    lab = key % width
-    rest = key // width
-    return Automaton(p.k, a.sigma, source_cls, (rest // k, rest % k, lab))
+    src, dst = cls[a.esrc], cls[a.edst]
+    order, new = sorted_runs(src, dst, a.elab)
+    rows = order[new]
+    return Automaton(p.k, a.sigma, source_cls, (src[rows], dst[rows], a.elab[rows]))
 
 
 def path_dfa(s: Sequence[int]) -> Automaton:
@@ -497,7 +503,6 @@ class OrderedPartition:
     """
 
     parts: list[list[int]]
-    _part_of: dict[int, int] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.parts = [sorted(int(v) for v in part) for part in self.parts]
@@ -519,18 +524,12 @@ class OrderedPartition:
     def k(self) -> int:
         return len(self.parts)
 
-    def part_of(self) -> dict[int, int]:
-        """Map each state to its part index."""
-        if self._part_of is None:
-            self._part_of = {v: i for i, part in enumerate(self.parts) for v in part}
-        return self._part_of
-
     def as_sets(self) -> set[frozenset[int]]:
         """The unordered partition (for comparisons that ignore part order)."""
         return {frozenset(part) for part in self.parts}
 
     def as_class_array(self) -> np.ndarray:
-        """as_class_array()[v] = index of v's part (vectorized part_of)."""
+        """as_class_array()[v] = index of v's part; the preorder as positions."""
         members = np.fromiter(
             (v for part in self.parts for v in part), dtype=np.int64, count=self.n
         )
@@ -538,11 +537,6 @@ class OrderedPartition:
         cls = np.empty(self.n, dtype=np.int64)
         cls[members] = np.repeat(np.arange(self.k, dtype=np.int64), sizes)
         return cls
-
-    def order_key(self) -> list[int]:
-        """order_key()[v] = index of v's part; the preorder as positions."""
-        part_of = self.part_of()
-        return [part_of[v] for v in range(self.n)]
 
 
 def serialize_ordered_partition(p: OrderedPartition) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from copar.automaton import Automaton
+from copar.automaton import Automaton, sorted_runs
 from copar.prune import PrunedAutomaton, refine_with_pruning
 
 
@@ -72,23 +72,21 @@ def suffix_doubling_ranks(g: MergedGraph, extra_rounds: int = 0) -> RankTable:
     saturate; extra_rounds adds verification rounds past that point.
     """
     m = int(g.letters.size)
-    _, rank = np.unique(g.letters, return_inverse=True)
-    rank = rank.astype(np.int64)
+    rank = _dense_rank(g.letters)
     phik = g.phi.astype(np.int64)
     total = (m - 1).bit_length() + extra_rounds
     for _ in range(total):
-        second = rank[phik]
-        order = np.lexsort((second, rank))
-        k1 = rank[order]
-        k2 = second[order]
-        bump = np.empty(m, dtype=np.int64)
-        bump[0] = 0
-        bump[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
-        new = np.empty(m, dtype=np.int64)
-        new[order] = np.cumsum(bump)
-        rank = new
+        rank = _dense_rank(rank, rank[phik])
         phik = phik[phik]
     return RankTable(ranks=rank, rounds=total)
+
+
+def _dense_rank(*cols: np.ndarray) -> np.ndarray:
+    """Rank of each row among the distinct rows of cols: 0, 1, ... in sorted order."""
+    order, new = sorted_runs(*cols)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank
 
 
 def min_chain_partition(inf_rank: np.ndarray, sup_rank: np.ndarray) -> list[list[int]]:

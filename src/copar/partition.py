@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from copar import _kernels as K
-from copar.automaton import Automaton, OrderedPartition
+from copar.automaton import Automaton, OrderedPartition, csr, sorted_runs
 
 PRUNE_MODES = {"off": K.PRUNE_OFF, "keep-first": K.PRUNE_KEEP_FIRST, "keep-last": K.PRUNE_KEEP_LAST}
 
@@ -74,21 +74,18 @@ class Refinement:
         hcap = 4 * n + 16
         self.kmod = n + 2
 
-        self.elems = np.argsort(key, kind="stable").astype(np.int64)
+        self.elems, new = sorted_runs(key)
         self.pos = np.empty(n, dtype=np.int64)
         self.pos[self.elems] = np.arange(n, dtype=np.int64)
-        sorted_key = key[self.elems]
-        boundaries = [0] + list(np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1) + [n]
-        nparts = len(boundaries) - 1
+        starts = np.flatnonzero(new)
+        nparts = starts.size
         self.pbeg = np.zeros(pcap, dtype=np.int64)
         self.pend = np.zeros(pcap, dtype=np.int64)
         self.xof = np.zeros(pcap, dtype=np.int64)
+        self.pbeg[:nparts] = starts
+        self.pend[:nparts] = np.r_[starts[1:], n]
         self.partof = np.empty(n, dtype=np.int64)
-        for p in range(nparts):
-            lo, hi = boundaries[p], boundaries[p + 1]
-            self.pbeg[p] = lo
-            self.pend[p] = hi
-            self.partof[self.elems[lo:hi]] = p
+        self.partof[self.elems] = np.cumsum(new) - 1
 
         self.xbeg = np.zeros(xcap, dtype=np.int64)
         self.xend = np.zeros(xcap, dtype=np.int64)
@@ -98,27 +95,15 @@ class Refinement:
 
         self.esrc = np.asarray(a.esrc, dtype=np.int64)
         self.edst = np.asarray(a.edst, dtype=np.int64)
-        out_order = np.argsort(self.esrc, kind="stable").astype(np.int64)
-        self.out_lst = out_order
+        self.out_lst, self.out_ptr, self.out_len = csr(self.esrc, n)
         self.out_pos = np.empty(m, dtype=np.int64)
-        self.out_pos[out_order] = np.arange(m, dtype=np.int64)
-        out_deg = np.bincount(self.esrc, minlength=n).astype(np.int64) if m else np.zeros(n, np.int64)
-        self.out_len = out_deg.copy()
-        self.out_ptr = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            self.out_ptr[1:] = np.cumsum(out_deg)[:-1]
-        in_order = np.argsort(self.edst, kind="stable").astype(np.int64)
-        self.in_lst = in_order
+        self.out_pos[self.out_lst] = np.arange(m, dtype=np.int64)
+        self.in_lst, self.in_ptr, self.in_len = csr(self.edst, n)
         self.in_pos = np.empty(m, dtype=np.int64)
-        self.in_pos[in_order] = np.arange(m, dtype=np.int64)
-        in_deg = np.bincount(self.edst, minlength=n).astype(np.int64) if m else np.zeros(n, np.int64)
-        self.in_len = in_deg.copy()
-        self.in_ptr = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            self.in_ptr[1:] = np.cumsum(in_deg)[:-1]
+        self.in_pos[self.in_lst] = np.arange(m, dtype=np.int64)
 
         self.cnt_val = np.zeros(rcap, dtype=np.int64)
-        self.cnt_val[:n] = in_deg
+        self.cnt_val[:n] = self.in_len
         self.cnt_ref = self.edst.copy()
         self.free_stk = np.zeros(rcap, dtype=np.int64)
 
@@ -258,13 +243,6 @@ class Refinement:
         """Ids of v's in-edges still alive (in storage order of the CSR)."""
         base = int(self.in_ptr[v])
         return [int(self.in_lst[base + j]) for j in range(int(self.in_len[v]))]
-
-    def surviving_edge_ids(self) -> list[int]:
-        """All live edge ids, ascending."""
-        out: list[int] = []
-        for v in range(self.n):
-            out.extend(self.surviving_in_edges(v))
-        return sorted(out)
 
     def deleted_edge_ids(self) -> list[int]:
         """Edge ids deleted by pruning so far, in deletion order."""

@@ -12,6 +12,7 @@ from copar.automaton import (
     OrderedPartition,
     ValidationError,
     quotient,
+    sorted_runs,
     validate,
 )
 from copar.partition import init_refinement, run_refinement
@@ -81,6 +82,8 @@ def wheeler_preorder(a: Automaton) -> WheelerPreorder:
     ref = init_refinement(a, "ascending")
     run_refinement(ref, "off")
     partition = ref.snapshot_partition()
+    rounds, max_splitter_count = ref.rounds, ref.max_splitter_count
+    del ref  # free the engine's arrays before the quotient sorts the edges
     q = quotient(a, partition)
     ok, violation = _identity_wheeler_check(q)
     return WheelerPreorder(
@@ -88,8 +91,8 @@ def wheeler_preorder(a: Automaton) -> WheelerPreorder:
         quotient=q,
         quasi_wheeler=ok,
         violation=violation,
-        rounds=ref.rounds,
-        max_splitter_count=ref.max_splitter_count,
+        rounds=rounds,
+        max_splitter_count=max_splitter_count,
     )
 
 
@@ -102,36 +105,31 @@ def _identity_wheeler_check(a: Automaton) -> tuple[bool, tuple | None]:
     if a.source != 0:
         return False, ("source-not-first", (int(a.source),))
     lam = a.in_labels()
-    if a.m:
-        pairs = np.unique(a.edst * np.int64(a.sigma + 1) + a.elab)
-        per_state = np.bincount(pairs // (a.sigma + 1), minlength=a.n)
-        conflicted = np.flatnonzero(per_state > 1)
-        if conflicted.size:
-            return False, ("in-label-conflict", (int(conflicted[0]),))
+    conflicted = a.edst[a.elab != lam[a.edst]]
+    if conflicted.size:
+        return False, ("in-label-conflict", (int(conflicted.min()),))
     drop = np.flatnonzero(lam[1:] < lam[:-1])
     if drop.size:
         i = int(drop[0])
         return False, ("letter-order", (i, i + 1))
-    for c in range(a.sigma):
-        idx = np.flatnonzero(a.elab == c)
-        if idx.size < 2:
-            continue
-        u = a.esrc[idx]
-        v = a.edst[idx]
-        order = np.lexsort((v, u))
-        us = u[order]
-        vs = v[order]
-        starts = np.flatnonzero(np.concatenate(([True], us[1:] != us[:-1])))
-        if starts.size < 2:
-            continue
-        gmin = np.minimum.reduceat(vs, starts)
-        gmax = np.maximum.reduceat(vs, starts)
-        run = np.maximum.accumulate(gmax)
-        bad = np.flatnonzero(gmin[1:] < run[:-1])
-        if bad.size:
-            gi = int(bad[0]) + 1
-            j = int(np.flatnonzero(gmax[:gi] == run[gi - 1])[0])
-            witness_early = (int(us[starts[j]]), int(gmax[j]))
-            witness_late = (int(us[starts[gi]]), int(gmin[gi]))
-            return False, ("target-order", (witness_early, witness_late, c))
+    # group the edges by (letter, source); up to the first violation each
+    # group's largest target is the largest of its letter so far, so
+    # comparing consecutive groups of a letter finds that violation
+    order, new = sorted_runs(a.elab, a.esrc)
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    lab, src = a.elab[first], a.esrc[first]
+    dst = a.edst[order]
+    gmin = np.minimum.reduceat(dst, starts)
+    gmax = np.maximum.reduceat(dst, starts)
+    bad = np.flatnonzero((lab[1:] == lab[:-1]) & (gmin[1:] < gmax[:-1]))
+    if bad.size:
+        g = int(bad[0]) + 1
+        c = int(lab[g])
+        # the witness is the letter's first group reaching that largest target
+        j = int(np.searchsorted(lab, c))
+        j += int(np.flatnonzero(gmax[j:g] == gmax[g - 1])[0])
+        witness_early = (int(src[j]), int(gmax[j]))
+        witness_late = (int(src[g]), int(gmin[g]))
+        return False, ("target-order", (witness_early, witness_late, c))
     return True, None

@@ -99,6 +99,19 @@ def test_validate_clean_and_dirty():
     dirty = Automaton(4, 3, 0, [(0, 1, 0), (1, 0, 0), (1, 3, 0), (2, 3, 1)])
     codes = sorted(d.code for d in validate(dirty))
     assert codes == ["in-label-conflict", "source-in-edge", "unreachable", "unused-letter"]
+    # several conflicted states, their letters stored out of order
+    dirty = Automaton(7, 5, 0, [
+        (0, 1, 0), (0, 2, 0), (1, 2, 2), (2, 3, 1), (3, 4, 3), (1, 4, 1),
+        (2, 4, 2), (4, 5, 0), (5, 5, 3), (3, 0, 1), (6, 6, 1),
+    ])
+    assert [(d.code, d.subject, d.message) for d in validate(dirty)] == [
+        ("in-label-conflict", 2, "in-edges carry distinct letters {0,2}"),
+        ("in-label-conflict", 4, "in-edges carry distinct letters {1,2,3}"),
+        ("in-label-conflict", 5, "in-edges carry distinct letters {0,3}"),
+        ("source-in-edge", 0, "source state has an in-edge"),
+        ("unreachable", 6, "state is unreachable from the source"),
+        ("unused-letter", 4, "letter labels no edge"),
+    ]
 
 
 def test_reachable_mask():
@@ -157,6 +170,13 @@ def test_quotient_collapses_parts():
     assert q.sorted_edges() == [(0, 1, 0), (0, 2, 1), (1, 2, 1), (1, 3, 1)]
     with pytest.raises(ValueError):
         quotient(a, OrderedPartition([[0, 1], [2], [3], [4]]))  # source not singleton
+
+
+def test_quotient_does_not_wrap_on_large_alphabets():
+    # a packed (source, target, letter) key would wrap around int64 here
+    a = Automaton(3, 2**62, 0, [(0, 1, 0), (1, 2, 2**62 - 1)])
+    q = quotient(a, OrderedPartition([[0], [1], [2]]))
+    assert q.sorted_edges() == [(0, 1, 0), (1, 2, 2**62 - 1)]
 
 
 def test_path_dfa_shape():

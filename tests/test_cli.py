@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +226,35 @@ def test_check_order_visits_only_used_letters(tmp_path, capsys, monkeypatch):
     assert "PASS" in capsys.readouterr().out
     assert cli.main(["check", str(nfa), "--order", str(bad)]) == 2
     assert "FAIL: letter-order (2, 1)" in capsys.readouterr().out
+
+
+def test_wheeler_check_visits_no_letter_one_by_one(tmp_path, capsys, monkeypatch):
+    k = 10_000  # the path 0 -> 1 -> ... -> k, edge i reading letter i
+    path = tmp_path / "letters.nfa"
+    path.write_text(f"NFA {k + 1} {k} 0 {k}\n" + "".join(f"{i} {i + 1} {i}\n" for i in range(k)))
+    _no_long_range(refine, monkeypatch)
+    assert cli.main(["sort", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(f"{k}: {k}\nQUASI_WHEELER: true\n")
+    # states k and k + 1 both read letter k - 1, entered out of order
+    edges = [(i, i + 1, i) for i in range(k)] + [(0, k + 1, k - 1)]
+    q = automaton.Automaton(k + 2, k, 0, edges)
+    expected = ("target-order", ((0, k + 1), (k - 1, k), k - 1))
+    assert refine._identity_wheeler_check(q) == (False, expected)
+
+
+@pytest.mark.parametrize("command", ["sort", "colex"])
+def test_cli_run_does_not_import_numpy_ma(loop_path, command):
+    # numpy loads numpy.ma (about 12 ms) on the first np.unique call
+    code = (
+        "import sys\n"
+        "from copar import cli\n"
+        f"assert cli.main([{command!r}, {loop_path!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.endswith("False\n")
 
 
 def test_exit_code_1_on_engine_status_error(loop_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from copar.oracle import (
     naive_coarsest_forward_stable,
     naive_prefix_sort,
 )
-from copar.refine import refine_all, wheeler_preorder
+from copar.refine import _identity_wheeler_check, refine_all, wheeler_preorder
 
 
 def test_quasi_wheeler_fixture_golden():
@@ -78,6 +78,17 @@ def test_violation_kinds_match_oracle_kinds():
         if not res.quasi_wheeler:
             oracle = check_wheeler_order(res.quotient, list(range(res.quotient.n)))
             assert res.violation[0] == oracle.kind
+        if res.violation and res.violation[0] == "target-order":
+            (u1, v1), (u2, v2), c = res.violation[1]
+            edges = set(res.quotient.edges())
+            assert (u1, v1, c) in edges and (u2, v2, c) in edges
+            assert u1 < u2 and v1 > v2
+
+
+def test_target_order_witness_is_the_first_edge_reaching_the_largest_target():
+    # sources 1 and 2 both reach 5 on letter 1 before 3 reaches 4
+    a = Automaton(6, 2, 0, [(0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 5, 1), (2, 5, 1), (3, 4, 1)])
+    assert _identity_wheeler_check(a) == (False, ("target-order", ((1, 5), (3, 4), 1)))
 
 
 def test_wheeler_inputs_stay_quasi_wheeler():
