@@ -25,7 +25,6 @@ from copar.automaton import (
     validate,
 )
 from copar.colex import ColexResult, MergedGraph, RankTable, colex_order
-from copar.generators import gen_random_dfa, gen_random_nfa, gen_wheeler_nfa
 from copar.partition import Refinement, init_refinement
 from copar.prune import PrunedAutomaton, backward_walk, refine_with_pruning
 from copar.refine import WheelerPreorder, refine_all, wheeler_preorder
@@ -66,3 +65,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the generators load on first use (PEP 562), so no CLI run imports them
+    if name in ("gen_random_dfa", "gen_random_nfa", "gen_wheeler_nfa"):
+        from copar import generators
+
+        return getattr(generators, name)
+    raise AttributeError(f"module 'copar' has no attribute {name!r}")

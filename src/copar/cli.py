@@ -23,10 +23,7 @@ from copar.automaton import (
     serialize_automaton,
     serialize_ordered_partition,
 )
-from copar.bench import OPS, bench_scaling, rows_to_csv
 from copar.colex import colex_order, serialize_colex
-from copar.generators import gen_random_dfa, gen_wheeler_nfa
-from copar.oracle import check_wheeler_order
 from copar.prune import refine_with_pruning, serialize_pruned
 from copar.refine import refine_all, wheeler_preorder
 
@@ -75,6 +72,8 @@ def _cmd_colex(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from copar.oracle import check_wheeler_order
+
     a = parse_automaton(_read(args.input))
     if args.order:
         order = parse_order(_read(args.order))
@@ -87,8 +86,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     text = _read(args.partition)
     lines = [ln for ln in text.splitlines() if not ln.startswith("QUASI_WHEELER:")]
     claimed = parse_ordered_partition("\n".join(lines) + "\n")
-    computed = refine_all(a)
-    if claimed.parts == computed.parts:
+    if claimed == refine_all(a):
         print("PASS: partition matches the refinement output")
         return 0
     print("FAIL: partition differs from the refinement output")
@@ -96,6 +94,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from copar.generators import gen_random_dfa, gen_wheeler_nfa
+
     if args.wheeler:
         m = args.m if args.m is not None else min(2 * (args.n - 1), (args.sigma + 1) * (args.n - 1))
         a = gen_wheeler_nfa(args.n, m, args.sigma, args.seed)
@@ -106,8 +106,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from copar.bench import OPS, bench_scaling, rows_to_csv
+
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    ops = tuple(s for s in args.ops.split(",") if s)
+    ops = tuple(s for s in args.ops.split(",") if s) if args.ops is not None else OPS
     _write(args.output, rows_to_csv(bench_scaling(sizes, args.trials, ops, args.seed)))
     return 0
 
@@ -156,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="engine scaling benchmark, CSV output")
     p.add_argument("--sizes", default="1000,2000,4000", help="comma-separated state counts")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--ops", default=",".join(OPS), help=f"comma-separated from {OPS}")
+    p.add_argument("--ops", default=None, help="comma-separated from sort,prune (default: all)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
     p.set_defaults(func=_cmd_bench)

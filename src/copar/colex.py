@@ -97,13 +97,14 @@ def min_chain_partition(inf_rank: np.ndarray, sup_rank: np.ndarray) -> list[list
     infRank, or starts a new chain when no tail qualifies. For interval
     orders this sweep is optimal, so the chain count equals the width.
     """
-    n = len(inf_rank)
-    sweep = sorted(range(n), key=lambda v: (int(inf_rank[v]), int(sup_rank[v]), v))
+    # lexsort is stable, so ties in both ranks keep id order
+    sweep = np.lexsort((sup_rank, inf_rank)).tolist()
+    infs, sups = np.asarray(inf_rank).tolist(), np.asarray(sup_rank).tolist()
     chains: list[list[int]] = []
     tail_sups: list[int] = []
     tail_chain: list[int] = []
     for v in sweep:
-        i = bisect.bisect_right(tail_sups, int(inf_rank[v])) - 1
+        i = bisect.bisect_right(tail_sups, infs[v]) - 1
         if i >= 0:
             c = tail_chain.pop(i)
             tail_sups.pop(i)
@@ -111,8 +112,8 @@ def min_chain_partition(inf_rank: np.ndarray, sup_rank: np.ndarray) -> list[list
         else:
             c = len(chains)
             chains.append([v])
-        j = bisect.bisect_right(tail_sups, int(sup_rank[v]))
-        tail_sups.insert(j, int(sup_rank[v]))
+        j = bisect.bisect_right(tail_sups, sups[v])
+        tail_sups.insert(j, sups[v])
         tail_chain.insert(j, c)
     return chains
 
@@ -172,10 +173,9 @@ def colex_order(a: Automaton) -> ColexResult:
 def serialize_colex(res: ColexResult) -> str:
     """Write ranks and chains: 'RANKS n' + one 'v inf sup' line per state,
     then 'CHAINS p' + one space-separated chain per line."""
-    n = len(res.inf_rank)
-    lines = [f"RANKS {n}"]
+    lines = [f"RANKS {len(res.inf_rank)}"]
     lines.extend(
-        f"{v} {int(res.inf_rank[v])} {int(res.sup_rank[v])}" for v in range(n)
+        f"{v} {i} {s}" for v, (i, s) in enumerate(zip(res.inf_rank.tolist(), res.sup_rank.tolist()))
     )
     lines.append(f"CHAINS {len(res.chains)}")
     lines.extend(" ".join(str(v) for v in chain) for chain in res.chains)

@@ -86,6 +86,16 @@ def gen_wheeler_nfa(n: int, m: int, sigma: int, seed: int) -> Automaton:
     return Automaton(n, sigma, 0, sorted(edges))
 
 
+def _random_start(n: int, sigma: int, seed: int, m: int | None) -> random.Random:
+    """Check the arguments shared by the random DFA and NFA; the seeded RNG."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_sigma(n, sigma)
+    if n == 1 and m not in (None, 0):
+        raise ValueError("single-state automaton has no edges")
+    return random.Random(seed)
+
+
 def _tree_letters(n: int, sigma: int, rng: random.Random) -> list[int]:
     """In-letter per state 1..n-1; states 1..sigma cover the alphabet."""
     return [v - 1 if v <= sigma else rng.randrange(sigma) for v in range(1, n)]
@@ -100,13 +110,8 @@ def gen_random_dfa(n: int, sigma: int, seed: int, m: int | None = None) -> Autom
     remaining free (source, letter) slots. m counts all edges and defaults
     to a seed-dependent value in [n-1, min(3*(n-1), n*sigma)].
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_sigma(n, sigma)
-    rng = random.Random(seed)
+    rng = _random_start(n, sigma, seed, m)
     if n == 1:
-        if m not in (None, 0):
-            raise ValueError("single-state automaton has no edges")
         return Automaton(1, sigma, 0, [])
     cap = n * sigma
     if m is None:
@@ -152,13 +157,8 @@ def gen_random_nfa(n: int, sigma: int, seed: int, m: int | None = None) -> Autom
     """Random input-consistent NFA: like gen_random_dfa without the
     one-slot-per-(source, letter) constraint. m defaults like there and can
     reach n*(n-1), one edge per (source, target) pair."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_sigma(n, sigma)
-    rng = random.Random(seed)
+    rng = _random_start(n, sigma, seed, m)
     if n == 1:
-        if m not in (None, 0):
-            raise ValueError("single-state automaton has no edges")
         return Automaton(1, sigma, 0, [])
     cap = n * (n - 1)
     if m is None:

@@ -217,35 +217,29 @@ def brute_truncated_bounds(
         if v != a.source and not preds[v]:
             raise ValueError(f"state {v} has no in-edge; bounds undefined")
         preds[v] = sorted(set(preds[v]))
+    choice_min = _truncated_choices(a, preds, k, 1)
+    choice_max = _truncated_choices(a, preds, k, -1)
+    return [(_rebuild(a, choice_min, v, k), _rebuild(a, choice_max, v, k)) for v in range(a.n)]
+
+
+def _truncated_choices(a: Automaton, preds: list[list[int]], k: int, sign: int) -> list[list[int]]:
+    """choice[t][v]: the predecessor of v picked at round t + 1, toward the
+    co-lex smallest string (sign 1) or the greatest (sign -1)."""
     lam = a.in_labels()
-    rank_min = [0] * a.n
-    rank_max = [0] * a.n
-    choice_min: list[list[int]] = []  # choice_min[t][v] = predecessor picked at round t+1
-    choice_max: list[list[int]] = []
+    rank = [0] * a.n
+    choice: list[list[int]] = []
     for _ in range(k):
-        keys_min: list[tuple[int, int]] = []
-        keys_max: list[tuple[int, int]] = []
-        pick_min = [-1] * a.n
-        pick_max = [-1] * a.n
+        keys: list[tuple[int, int]] = []
+        pick = [-1] * a.n
         for v in range(a.n):
             if v == a.source:
-                keys_min.append((-1, -1))
-                keys_max.append((-1, -1))
+                keys.append((-1, -1))
                 continue
-            best_min = min(preds[v], key=lambda u: (rank_min[u], u))
-            best_max = min(preds[v], key=lambda u: (-rank_max[u], u))
-            pick_min[v] = best_min
-            pick_max[v] = best_max
-            keys_min.append((int(lam[v]), rank_min[best_min]))
-            keys_max.append((int(lam[v]), rank_max[best_max]))
-        rank_min = _dense_ranks(keys_min)
-        rank_max = _dense_ranks(keys_max)
-        choice_min.append(pick_min)
-        choice_max.append(pick_max)
-    result = []
-    for v in range(a.n):
-        result.append((_rebuild(a, choice_min, v, k), _rebuild(a, choice_max, v, k)))
-    return result
+            pick[v] = min(preds[v], key=lambda u: (sign * rank[u], u))
+            keys.append((int(lam[v]), rank[pick[v]]))
+        rank = _dense_ranks(keys)
+        choice.append(pick)
+    return choice
 
 
 def _dense_ranks(keys: list[tuple[int, int]]) -> list[int]:
@@ -353,20 +347,7 @@ def same_language(a: Automaton, b: Automaton) -> bool:
     Every state counts as accepting (walk labels form a prefix-closed set).
     Exact product subset construction, for desk-scale state counts.
     """
-    sigma = max(a.sigma, b.sigma)
-    start = (frozenset({a.source}), frozenset({b.source}))
-    seen = {start}
-    queue = [start]
-    while queue:
-        pa, pb = queue.pop()
-        if bool(pa) != bool(pb):
-            return False
-        for c in range(sigma):
-            nxt = (_det_step(a, pa, c), _det_step(b, pb, c))
-            if nxt != (frozenset(), frozenset()) and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+    return _subset_pairs_agree(a, b, lambda pa, pb: bool(pa) == bool(pb))
 
 
 def same_reaching_strings(a: Automaton, b: Automaton, u: int, v: int) -> bool:
@@ -375,13 +356,19 @@ def same_reaching_strings(a: Automaton, b: Automaton, u: int, v: int) -> bool:
     Exact: determinizes both sides on the fly and compares membership of u
     resp. v at every reachable subset pair.
     """
+    return _subset_pairs_agree(a, b, lambda pa, pb: (u in pa) == (v in pb))
+
+
+def _subset_pairs_agree(a: Automaton, b: Automaton, agree) -> bool:
+    """Whether agree(pa, pb) holds at every pair of subsets that one string
+    reaches in a and in b (the product of both subset constructions)."""
     sigma = max(a.sigma, b.sigma)
     start = (frozenset({a.source}), frozenset({b.source}))
     seen = {start}
     queue = [start]
     while queue:
         pa, pb = queue.pop()
-        if (u in pa) != (v in pb):
+        if not agree(pa, pb):
             return False
         for c in range(sigma):
             nxt = (_det_step(a, pa, c), _det_step(b, pb, c))

@@ -11,7 +11,6 @@ the monolithic run_full.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,6 @@ class Refinement:
             key = lam
         else:
             key = np.where(lam >= 0, a.sigma - 1 - lam, np.int64(a.sigma))
-        self.lam = lam
         pcap = n + 2
         xcap = n + 2
         rcap = m + n + 2
@@ -227,14 +225,10 @@ class Refinement:
 
     def snapshot_partition(self) -> OrderedPartition:
         """The current partition, parts in positional order, ids sorted inside."""
-        parts = []
-        i = 0
-        while i < self.n:
-            p = int(self.partof[self.elems[i]])
-            hi = int(self.pend[p])
-            parts.append(sorted(int(v) for v in self.elems[i:hi]))
-            i = hi
-        return OrderedPartition(parts)
+        # position i starts a part when its state's part begins at i
+        at = np.arange(self.n)
+        starts = np.flatnonzero(self.pbeg[self.partof[self.elems]] == at)
+        return OrderedPartition.from_arrays(self.elems, np.append(starts, self.n))
 
     # ------------------------------------------------------------------
     # introspection used by pruning and tests
@@ -328,7 +322,7 @@ class Refinement:
                     f"part {p} is unstable against X-part {x}"
                 )
 
-        bound = math.floor(math.log2(n)) + 1 if n > 1 else 1
+        bound = n.bit_length()  # floor(log2 n) + 1
         for v in range(n):
             assert int(self.splitcnt[v]) <= bound, (
                 f"state {v} served in {int(self.splitcnt[v])} splitters, bound {bound}"

@@ -39,17 +39,11 @@ class PrunedAutomaton:
 
     def surviving_edges(self) -> list[tuple[int, int, int]]:
         """Edges never deleted by pruning, sorted."""
-        a = self.base
-        return sorted(
-            (int(a.esrc[e]), int(a.edst[e]), int(a.elab[e])) for e in self._surviving_ids
-        )
+        return _sorted_edge_list(self.base, self._surviving_ids)
 
     def deleted_edges(self) -> list[tuple[int, int, int]]:
         """Edges deleted by pruning, sorted."""
-        a = self.base
-        return sorted(
-            (int(a.esrc[e]), int(a.edst[e]), int(a.elab[e])) for e in self._deleted_ids
-        )
+        return _sorted_edge_list(self.base, self._deleted_ids)
 
     def survivor_automaton(self) -> Automaton:
         """The base automaton restricted to the surviving edges."""
@@ -60,11 +54,16 @@ class PrunedAutomaton:
     def kept_automaton(self) -> Automaton:
         """The base automaton restricted to the kept in-edges (one per state)."""
         a = self.base
-        lam = a.in_labels()
-        edges = [
-            (int(self.kept_src[v]), v, int(lam[v])) for v in range(a.n) if v != a.source
-        ]
-        return Automaton(a.n, a.sigma, a.source, sorted(edges))
+        dst = np.flatnonzero(np.arange(a.n) != a.source)
+        src, lab = self.kept_src[dst], a.in_labels()[dst]
+        rows = np.lexsort((dst, src))
+        return Automaton(a.n, a.sigma, a.source, (src[rows], dst[rows], lab[rows]))
+
+
+def _sorted_edge_list(a: Automaton, ids: np.ndarray) -> list[tuple[int, int, int]]:
+    """The edges of a with the given ids, as sorted (from, to, letter) tuples."""
+    rows = ids[np.lexsort((a.elab[ids], a.edst[ids], a.esrc[ids]))]
+    return list(zip(a.esrc[rows].tolist(), a.edst[rows].tolist(), a.elab[rows].tolist()))
 
 
 def refine_with_pruning(a: Automaton, direction: str) -> PrunedAutomaton:
@@ -89,8 +88,7 @@ def refine_with_pruning(a: Automaton, direction: str) -> PrunedAutomaton:
 
 def _assemble(a: Automaton, direction: str, ref: Refinement) -> PrunedAutomaton:
     n = a.n
-    lens = ref.in_len[:n].astype(np.int64)
-    bases = ref.in_ptr[:n].astype(np.int64)
+    lens, bases = ref.in_len[:n], ref.in_ptr[:n]
     empty = np.flatnonzero((lens == 0) & (np.arange(n) != a.source))
     if empty.size:
         raise RuntimeError(f"pruning removed every in-edge of state {int(empty[0])}")

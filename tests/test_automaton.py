@@ -119,6 +119,84 @@ def test_reachable_mask():
     assert reachable_mask(a).tolist() == [True, True, False]
 
 
+def _bfs_reachable(a: Automaton) -> list[bool]:
+    """Reference: a plain queue-based BFS over Python adjacency lists."""
+    out: list[list[int]] = [[] for _ in range(a.n)]
+    for u, v, _ in a.edges():
+        out[u].append(v)
+    seen = [False] * a.n
+    seen[a.source] = True
+    queue = [a.source]
+    for u in queue:
+        for v in out[u]:
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return seen
+
+
+@st.composite
+def _reachability_graphs(draw):
+    """Deep paths, wide stars, cycles and unreachable islands, mixed."""
+    n = draw(st.integers(1, 300))
+    source = draw(st.integers(0, n - 1))
+    edges: set[tuple[int, int, int]] = set()
+    # a deep path from the source through a random order of some states
+    path = [source] + draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    edges.update((u, v, 0) for u, v in zip(path, path[1:]) if u != v)
+    # a wide star, wider than the plain-Python level limit when n allows
+    hub = draw(st.integers(0, n - 1))
+    width = draw(st.integers(0, n))
+    edges.update((hub, v, 1) for v in range(width))
+    # random extra edges: cycles, back edges and islands among the rest
+    k = draw(st.integers(0, 2 * n))
+    edges.update(
+        (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), 0) for _ in range(k)
+    )
+    return Automaton(n, 2, source, sorted(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reachability_graphs())
+def test_reachable_mask_matches_plain_bfs(a):
+    assert reachable_mask(a).tolist() == _bfs_reachable(a)
+
+
+def test_reachable_mask_without_edges_and_away_from_state_zero():
+    assert reachable_mask(Automaton(4, 0, 2, [])).tolist() == [False, False, True, False]
+    # a wide level past the plain-Python limit, then a deep tail
+    k = 3 * automaton.SMALL_LEVEL_EDGES
+    edges = [(k + 1, v, 0) for v in range(k)] + [(v, v + 1, 0) for v in range(k + 2, 2 * k)]
+    edges.append((0, k + 2, 0))
+    a = Automaton(2 * k + 1, 1, k + 1, edges)
+    assert reachable_mask(a).tolist() == _bfs_reachable(a)
+
+
+class _CountingNumpy:
+    """Stands in for the numpy module and counts the functions looked up on it."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __getattr__(self, name: str):
+        attr = getattr(np, name)
+        if callable(attr):
+            self.calls += 1
+        return attr
+
+
+def test_reachable_mask_makes_no_numpy_call_per_level(monkeypatch):
+    counts = []
+    for n in (100, 100_000):
+        a = Automaton(n, 1, 0, (np.arange(n - 1), np.arange(1, n), np.zeros(n - 1, np.int64)))
+        proxy = _CountingNumpy()
+        monkeypatch.setattr(automaton, "np", proxy)
+        assert reachable_mask(a).all()
+        monkeypatch.undo()
+        counts.append(proxy.calls)
+    assert counts[0] == counts[1] > 0
+
+
 def test_make_input_consistent_splits_conflicts():
     a = Automaton(3, 2, 0, [(0, 1, 0), (0, 2, 1), (2, 1, 1)])
     ic, mapping = make_input_consistent(a)
@@ -213,6 +291,34 @@ def test_order_format_round_trip():
 def test_class_array_matches_parts():
     p = OrderedPartition([[1, 3], [0], [2]])
     assert p.as_class_array().tolist() == [1, 0, 2, 0]
+
+
+def test_ordered_partition_arrays():
+    p = OrderedPartition.from_arrays(np.array([3, 1, 0, 2]), np.array([0, 2, 3, 4]))
+    assert p.parts == [[1, 3], [0], [2]]  # sorted inside each part, part order kept
+    assert p.members.tolist() == [1, 3, 0, 2] and p.starts.tolist() == [0, 2, 3, 4]
+    assert (p.n, p.k) == (4, 3)
+    assert p == OrderedPartition([[3, 1], [0], [2]])
+    assert p != OrderedPartition([[0], [1, 3], [2]])
+    with pytest.raises(ValueError):
+        p.members[0] = 0  # read-only, so parts stays in step with the arrays
+    with pytest.raises(ValueError, match="part 1 is empty"):
+        OrderedPartition([[0], [], [1]])
+    with pytest.raises(ValueError):
+        OrderedPartition([[0], [2**70]])
+    with pytest.raises(ValueError):
+        OrderedPartition.from_arrays(np.array([0, 1, 1]), np.array([0, 1, 3]))
+
+
+def test_equality_ignores_edge_storage_order():
+    edges = [(0, 1, 0), (0, 2, 1), (1, 2, 1), (2, 2, 1)]
+    a = Automaton(3, 2, 0, edges)
+    b = Automaton(3, 2, 0, edges[::-1])
+    assert a == a and a == b and b == a
+    c = Automaton(3, 2, 0, edges[:-1] + [(2, 2, 0)])  # one letter differs
+    assert a != c and c != a
+    assert a != Automaton(3, 2, 0, edges[:-1])
+    assert a != Automaton(3, 2, 1, edges)
 
 
 @given(st.integers(2, 8), st.integers(0, 30), st.randoms(use_true_random=False))

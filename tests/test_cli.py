@@ -257,6 +257,21 @@ def test_cli_run_does_not_import_numpy_ma(loop_path, command):
     assert run.stdout.endswith("False\n")
 
 
+@pytest.mark.parametrize("argv", [["sort"], ["prune", "--mode", "inf"], ["colex"]])
+def test_cli_run_does_not_import_oracle_bench_or_generators(loop_path, argv):
+    code = (
+        "import sys\n"
+        "from copar import cli\n"
+        f"assert cli.main([{argv[0]!r}, {loop_path!r}, *{argv[1:]!r}]) == 0\n"
+        "print(sorted(m for m in ('copar.oracle', 'copar.bench', 'copar.generators')"
+        " if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.endswith("[]\n")
+
+
 def test_exit_code_1_on_engine_status_error(loop_path, capsys, monkeypatch):
     def breach(regs, *args):
         regs[K.R_STATUS] = K.STATUS_HEAP_CAP

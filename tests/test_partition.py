@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copar import _kernels as K
-from copar.automaton import Automaton
+from copar.automaton import Automaton, OrderedPartition
 from copar.examples import example_loop_dfa, example_quasi_wheeler_nfa
 from copar.generators import gen_random_dfa, gen_random_nfa
 from copar.partition import PRUNE_MODES, Refinement, init_refinement, run_refinement
@@ -167,6 +167,39 @@ def test_splitter_count_is_logarithmic(seed):
     ref = init_refinement(a)
     run_refinement(ref)
     assert ref.max_splitter_count <= n.bit_length()  # floor(log2 n) + 1
+
+
+def _snapshot_by_parts(ref: Refinement) -> list[list[int]]:
+    """Reference: the per-part sorted() construction snapshot_partition replaced."""
+    parts = []
+    i = 0
+    while i < ref.n:
+        hi = int(ref.pend[ref.partof[ref.elems[i]]])
+        parts.append(sorted(int(v) for v in ref.elems[i:hi]))
+        i = hi
+    return parts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.sampled_from(["ascending", "descending"]),
+    st.sampled_from(["off", "keep-first"]),
+)
+def test_snapshot_matches_per_part_construction(seed, dfa, order, mode):
+    rng = random.Random(seed)
+    n = rng.randint(2, 60)
+    sigma = rng.randint(1, min(3, n - 1))
+    # pruning is defined for DFAs only
+    a = gen_random_dfa(n, sigma, seed) if dfa or mode != "off" else gen_random_nfa(n, sigma, seed)
+    ref = init_refinement(a, order)
+    while True:
+        snap = ref.snapshot_partition()
+        assert snap.parts == _snapshot_by_parts(ref)
+        assert snap == OrderedPartition(_snapshot_by_parts(ref))
+        if ref.step(mode) is None:
+            break
 
 
 def test_edge_free_automaton():
