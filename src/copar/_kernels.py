@@ -15,10 +15,12 @@ attribute read is a descriptor call, and reading st.<name> inside each
 sub-kernel (about 60 reads per round) made run_full about 6% slower on the
 nfa-sort benchmark input (n = 12 000, 11 931 rounds).
 
-Register layout (indices into regs):
+Register layout (indices into regs), every register read or written here:
   counters:  NPARTS, NX, HSIZE, GEN, NREC, FREETOP, ROUNDS, MAXSPLIT, NDEL,
              NCREATED, NCOMP
-  per-round: NXS, N12, N11, BLEN, SPART, BPART, BFIRST, BX, SLO, SHI
+  per-round: NXS, N12, N11 (reached states, D_12, D_11); SPART, BPART,
+             BFIRST (the old splitter's X-part, B, and whether B was first);
+             SLO, SHI (the X-part's span, read by Refinement.select_splitter)
   fixed:     KMOD (heap key modulus), STATUS (0 ok, nonzero = internal error)
 """
 
@@ -56,11 +58,11 @@ Engine = namedtuple(
     "Engine",
     "heap xbeg xend xcnt xof elems pos partof pbeg pend"
     " esrc edst out_ptr out_len out_lst out_pos in_ptr in_len in_lst in_pos"
-    " cnt_ref cnt_val free_stk bprime binb_gen splitcnt seen_gen bcount repedge"
-    " xs d12 d11 xrec xrec_gen moved_cnt touched created deleted",
+    " cnt_ref cnt_val free_stk binb_gen splitcnt seen_gen"
+    " xs d12 d11 xrec moved_cnt touched created deleted",
 )
 
-NREGS = 24
+NREGS = 21
 (
     R_NPARTS,
     R_NX,
@@ -76,16 +78,13 @@ NREGS = 24
     R_NXS,
     R_N12,
     R_N11,
-    R_BLEN,
     R_SPART,
     R_BPART,
     R_BFIRST,
-    R_BX,
     R_SLO,
     R_SHI,
     R_KMOD,
     R_STATUS,
-    R_SPARE,
 ) = range(NREGS)
 
 STATUS_OK = 0
@@ -201,63 +200,81 @@ def select_splitter_kernel(regs, st):
         regs[R_NCOMP] -= 1
     regs[R_BPART] = b
     regs[R_BFIRST] = bfirst
-    regs[R_BX] = nb
 
 
 @njit(cache=True)
-def _snapshot_b(regs, elems, pbeg, pend, bprime, binb_gen, splitcnt):
-    """Freeze B's members (the splitter B') and mark them for this round."""
-    b = regs[R_BPART]
+def _scan_splitter(regs, elems, pbeg, pend, out_ptr, out_len, out_lst, edst, binb_gen,
+                   splitcnt, seen_gen, cnt_ref, cnt_val, free_stk, xs, d12, d11, xrec):
+    """One pass over the splitter B' (B's members) and its out-edges.
+
+    Marks B' for the round and collects the reached states xs. Each out-edge
+    e -> x leaves its record of (x, old splitter S), which is decremented and
+    freed at zero, and joins the record of (x, B's new X-part), taken from
+    the free stack on x's first edge only after that decrement, so a record
+    freed by x itself is reused at once. Free records and those at or past
+    NREC count 0, so a taken record starts at 0. The old record keeps
+    counting the remainder side without ever being rewritten. An old record
+    reaching zero means every in-edge of x from S comes from B' and none is
+    left to scan: x is D_12 (seen_gen is set to -g); the other reached
+    states are D_11 (some in-edges from B', some from the remainder). No
+    state of B moves during the pass.
+    """
     regs[R_GEN] += 1
     g = regs[R_GEN]
-    lo = pbeg[b]
-    blen = pend[b] - lo
-    for i in range(blen):
-        v = elems[lo + i]
-        bprime[i] = v
-        binb_gen[v] = g
-        splitcnt[v] += 1
-        if splitcnt[v] > regs[R_MAXSPLIT]:
-            regs[R_MAXSPLIT] = splitcnt[v]
-    regs[R_BLEN] = blen
-
-
-@njit(cache=True)
-def _scan_b(regs, bprime, out_ptr, out_len, out_lst, edst, seen_gen, bcount, repedge, xs):
-    """Collect the states reached from B' and count their in-edges from B'."""
-    g = regs[R_GEN]
+    b = regs[R_BPART]
+    maxsplit = regs[R_MAXSPLIT]
+    ftop = regs[R_FREETOP]
     nxs = 0
-    for i in range(regs[R_BLEN]):
-        y = bprime[i]
+    for i in range(pbeg[b], pend[b]):
+        y = elems[i]
+        binb_gen[y] = g
+        c = splitcnt[y] + 1
+        splitcnt[y] = c
+        if c > maxsplit:
+            maxsplit = c
         base = out_ptr[y]
-        for j in range(out_len[y]):
-            e = out_lst[base + j]
+        for j in range(base, base + out_len[y]):
+            e = out_lst[j]
             x = edst[e]
-            if seen_gen[x] != g:
+            r = cnt_ref[e]
+            left = cnt_val[r] - 1
+            cnt_val[r] = left
+            if left == 0:
+                free_stk[ftop] = r
+                ftop += 1
+            if seen_gen[x] == g:
+                nr = xrec[x]
+            else:
                 seen_gen[x] = g
-                bcount[x] = 0
-                repedge[x] = e
                 xs[nxs] = x
                 nxs += 1
-            bcount[x] += 1
+                if ftop > 0:
+                    ftop -= 1
+                    nr = free_stk[ftop]
+                else:
+                    nr = regs[R_NREC]
+                    if nr >= cnt_val.shape[0]:
+                        regs[R_STATUS] = STATUS_RECORD_CAP
+                        return
+                    regs[R_NREC] = nr + 1
+                xrec[x] = nr
+            cnt_val[nr] += 1
+            cnt_ref[e] = nr
+            if left == 0:
+                seen_gen[x] = -g
+    regs[R_MAXSPLIT] = maxsplit
+    regs[R_FREETOP] = ftop
     regs[R_NXS] = nxs
-
-
-@njit(cache=True)
-def _classify(regs, xs, bcount, repedge, cnt_ref, cnt_val, d12, d11):
-    """Split the reached states into D_12 (all old-splitter in-edges are from B')
-    and D_11 (some in-edges from B', some from the remainder)."""
     n12 = 0
     n11 = 0
-    for i in range(regs[R_NXS]):
+    for i in range(nxs):
         x = xs[i]
-        total = cnt_val[cnt_ref[repedge[x]]]
-        if bcount[x] == total:
-            d12[n12] = x
-            n12 += 1
-        else:
+        if seen_gen[x] == g:
             d11[n11] = x
             n11 += 1
+        else:
+            d12[n12] = x
+            n12 += 1
     regs[R_N12] = n12
     regs[R_N11] = n11
 
@@ -416,75 +433,42 @@ def _move_split(
 
 
 @njit(cache=True)
-def _update_counts(
-    regs,
-    bprime,
-    out_ptr,
-    out_len,
-    out_lst,
-    edst,
-    cnt_ref,
-    cnt_val,
-    free_stk,
-    bcount,
-    xrec,
-    xrec_gen,
-):
-    """Retire the old splitter's count records along B's surviving out-edges.
-
-    Each such edge leaves its old record (decrement, free at zero) and joins
-    the record of (target, B's new X-part), materialized on first touch with
-    the full count gathered in the scan phase. The old record keeps counting
-    the remainder side without ever being rewritten, which is what lets the
-    remainder keep its record identity.
-    """
-    g = regs[R_GEN]
-    for i in range(regs[R_BLEN]):
-        y = bprime[i]
-        base = out_ptr[y]
-        for j in range(out_len[y]):
-            e = out_lst[base + j]
-            x = edst[e]
-            r = cnt_ref[e]
-            cnt_val[r] -= 1
-            if cnt_val[r] == 0:
-                free_stk[regs[R_FREETOP]] = r
-                regs[R_FREETOP] += 1
-            if xrec_gen[x] != g:
-                xrec_gen[x] = g
-                if regs[R_FREETOP] > 0:
-                    regs[R_FREETOP] -= 1
-                    nr = free_stk[regs[R_FREETOP]]
-                else:
-                    nr = regs[R_NREC]
-                    if nr >= cnt_val.shape[0]:
-                        regs[R_STATUS] = STATUS_RECORD_CAP
-                        return
-                    regs[R_NREC] = nr + 1
-                cnt_val[nr] = bcount[x]
-                xrec[x] = nr
-            cnt_ref[e] = xrec[x]
-
-
-@njit(cache=True)
 def split_kernel(regs, st, prune_mode):
     """One full split step against the splitter chosen by select_splitter_kernel.
 
-    Without pruning this is the three-way split: first every reached state
-    moves toward B's side of its part, then the D_12 states move once more,
-    yielding piece order (D_12, D_11, rest) when B was first and the mirror
-    when B was last. With pruning the D_11 states first lose the losing
-    side's in-edges, after which a single move settles everything: the
-    states that kept edges from the winning side travel toward it.
+    One pass over B's out-edges re-homes the count records and finds the
+    reached states, D_12 (every in-edge from the old splitter comes from B)
+    and D_11 (the rest of them). Without pruning this is the three-way split:
+    D_12 moves toward B's side of its part and splits off, then D_11 does the
+    same in what is left, yielding piece order (D_12, D_11, rest) when B was
+    first and the mirror when B was last. With pruning the D_11 states first
+    lose the losing side's in-edges, after which a single move settles
+    everything: the states that kept edges from the winning side travel
+    toward it.
     """
     (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
      esrc, edst, out_ptr, out_len, out_lst, out_pos, in_ptr, in_len, in_lst, in_pos,
-     cnt_ref, cnt_val, free_stk, bprime, binb_gen, splitcnt, seen_gen, bcount, repedge,
-     xs, d12, d11, xrec, xrec_gen, moved_cnt, touched, created, deleted) = st
-    _snapshot_b(regs, elems, pbeg, pend, bprime, binb_gen, splitcnt)
-    _scan_b(regs, bprime, out_ptr, out_len, out_lst, edst, seen_gen, bcount, repedge, xs)
-    _classify(regs, xs, bcount, repedge, cnt_ref, cnt_val, d12, d11)
-    if prune_mode != PRUNE_OFF and regs[R_N11] > 0:
+     cnt_ref, cnt_val, free_stk, binb_gen, splitcnt, seen_gen,
+     xs, d12, d11, xrec, moved_cnt, touched, created, deleted) = st
+    _scan_splitter(
+        regs, elems, pbeg, pend, out_ptr, out_len, out_lst, edst, binb_gen,
+        splitcnt, seen_gen, cnt_ref, cnt_val, free_stk, xs, d12, d11, xrec,
+    )
+    if regs[R_STATUS] != STATUS_OK:
+        return
+    bfirst = regs[R_BFIRST]
+    if prune_mode == PRUNE_OFF:
+        _move_split(
+            regs, d12, regs[R_N12], bfirst, heap, xbeg, xcnt, xof,
+            elems, pos, partof, pbeg, pend, moved_cnt, touched, created,
+        )
+        if regs[R_STATUS] == STATUS_OK:
+            _move_split(
+                regs, d11, regs[R_N11], bfirst, heap, xbeg, xcnt, xof,
+                elems, pos, partof, pbeg, pend, moved_cnt, touched, created,
+            )
+        return
+    if regs[R_N11] > 0:
         _prune_d11(
             regs,
             prune_mode,
@@ -506,25 +490,15 @@ def split_kernel(regs, st, prune_mode):
             free_stk,
             deleted,
         )
-    bfirst = regs[R_BFIRST]
-    # with pruning only one move runs: all of xs when the kept side is B's,
-    # else just the D_12 states
-    keeps_b = (prune_mode == PRUNE_KEEP_FIRST) == (bfirst == 1)
-    if prune_mode == PRUNE_OFF or keeps_b:
-        _move_split(
-            regs, xs, regs[R_NXS], bfirst, heap, xbeg, xcnt, xof,
-            elems, pos, partof, pbeg, pend, moved_cnt, touched, created,
-        )
-    if regs[R_STATUS] == STATUS_OK and (prune_mode == PRUNE_OFF or not keeps_b):
-        _move_split(
-            regs, d12, regs[R_N12], bfirst, heap, xbeg, xcnt, xof,
-            elems, pos, partof, pbeg, pend, moved_cnt, touched, created,
-        )
-    if regs[R_STATUS] == STATUS_OK:
-        _update_counts(
-            regs, bprime, out_ptr, out_len, out_lst, edst,
-            cnt_ref, cnt_val, free_stk, bcount, xrec, xrec_gen,
-        )
+    # all of xs when the kept side is B's, else just the D_12 states
+    if (prune_mode == PRUNE_KEEP_FIRST) == (bfirst == 1):
+        move, nmove = xs, regs[R_NXS]
+    else:
+        move, nmove = d12, regs[R_N12]
+    _move_split(
+        regs, move, nmove, bfirst, heap, xbeg, xcnt, xof,
+        elems, pos, partof, pbeg, pend, moved_cnt, touched, created,
+    )
 
 
 @njit(cache=True)

@@ -89,7 +89,9 @@ class Automaton:
                 raise ValueError("edge endpoint out of range")
             if elab.min() < 0 or elab.max() >= sigma:
                 raise ValueError("edge letter out of range")
-            if not sorted_runs(esrc, edst, elab)[1].all():  # a repeated row starts no run
+            # rows in strictly increasing order (quotient's, or canonical text)
+            # are distinct without a sort; a repeated row starts no run
+            if not _rows_increase(esrc, edst, elab) and not sorted_runs(esrc, edst, elab)[1].all():
                 raise ValueError("duplicate edges are not allowed")
         self.n = int(n)
         self.sigma = int(sigma)
@@ -109,9 +111,14 @@ class Automaton:
         for i in range(self.m):
             yield int(self.esrc[i]), int(self.edst[i]), int(self.elab[i])
 
+    def _canonical_order(self) -> np.ndarray:
+        """Row indices sorting the edges by (from, to, letter)."""
+        return np.lexsort((self.elab, self.edst, self.esrc))
+
     def sorted_edges(self) -> list[tuple[int, int, int]]:
         """Edges sorted by (from, to, letter); the canonical order."""
-        return sorted(self.edges())
+        o = self._canonical_order()
+        return list(zip(*(c[o].tolist() for c in (self.esrc, self.edst, self.elab))))
 
     def in_labels(self) -> np.ndarray:
         """Per-state in-letter; -1 for states with no in-edges.
@@ -152,8 +159,8 @@ class Automaton:
         if header != (other.n, other.sigma, other.source, other.m):
             return False
         # edges are distinct, so equal edge sets sort to equal columns
-        i = np.lexsort((self.elab, self.edst, self.esrc))
-        j = np.lexsort((other.elab, other.edst, other.esrc))
+        i = self._canonical_order()
+        j = other._canonical_order()
         return all(
             np.array_equal(x[i], y[j])
             for x, y in ((self.esrc, other.esrc), (self.edst, other.edst), (self.elab, other.elab))
@@ -179,6 +186,19 @@ def sorted_runs(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = col[order]
         new[1:] |= c[1:] != c[:-1]
     return order, new
+
+
+def _rows_increase(*cols: np.ndarray) -> bool:
+    """True when every row is lexicographically greater than the row before
+    it, the first column most significant: an O(m) test for sorted, distinct
+    rows."""
+    greater = np.zeros(len(cols[0]) - 1, dtype=bool)
+    equal = np.ones(len(cols[0]) - 1, dtype=bool)
+    for col in cols:
+        prev, cur = col[:-1], col[1:]
+        greater |= equal & (cur > prev)
+        equal &= cur == prev
+    return bool(greater.all())
 
 
 def csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,9 +4,14 @@ A Refinement holds the whole engine state as flat arrays: the state sequence
 (elems/pos/partof), contiguous part and X-part spans, per-(state, X-part)
 count records with per-edge record pointers, mutable adjacency in CSR form
 with swap-remove deletion, and a lazily validated min-heap of compound
-X-part candidates. Refinement packs kernel views of these arrays into one
-copar._kernels.Engine record, which feeds both the one-step methods here and
-the monolithic run_full.
+X-part candidates. Seven more arrays of n serve the rounds: the round marks
+of the splitter and of the reached states, the splitter counts, the reached
+states and their D_12 and D_11 split, and each reached state's new count
+record. A round reads the splitter straight from its span of the state
+sequence, walks its out-edges once and moves each reached state once.
+Refinement packs kernel views of these arrays into one copar._kernels.Engine
+record, which feeds both the one-step methods here and the monolithic
+run_full.
 """
 
 from __future__ import annotations
@@ -106,17 +111,13 @@ class Refinement:
         self.free_stk = np.zeros(rcap, dtype=np.int64)
 
         self.heap = np.zeros(hcap, dtype=np.int64)
-        self.bprime = np.zeros(n, dtype=np.int64)
         self.binb_gen = np.zeros(n, dtype=np.int64)
         self.splitcnt = np.zeros(n, dtype=np.int64)
         self.seen_gen = np.zeros(n, dtype=np.int64)
-        self.bcount = np.zeros(n, dtype=np.int64)
-        self.repedge = np.zeros(n, dtype=np.int64)
         self.xs = np.zeros(n, dtype=np.int64)
         self.d12 = np.zeros(n, dtype=np.int64)
         self.d11 = np.zeros(n, dtype=np.int64)
         self.xrec = np.zeros(n, dtype=np.int64)
-        self.xrec_gen = np.zeros(n, dtype=np.int64)
         self.moved_cnt = np.zeros(pcap, dtype=np.int64)
         self.touched = np.zeros(pcap, dtype=np.int64)
         self.created = np.zeros(pcap, dtype=np.int64)

@@ -51,6 +51,32 @@ def test_duplicate_check_does_not_wrap_on_large_headers():
     assert not Automaton(3, 2**62, 0, [(0, 1, 2**62 - 1), (0, 2, 2**62 - 1)]).is_deterministic()
 
 
+def test_sorted_rows_with_an_adjacent_duplicate_are_refused():
+    # strictly increasing rows skip the sort; one equal neighbour must not
+    with pytest.raises(ValueError, match="duplicate"):
+        Automaton(4, 2, 0, [(0, 1, 0), (0, 2, 1), (0, 2, 1), (1, 3, 0)])
+    with pytest.raises(ValueError, match="duplicate"):
+        Automaton(2, 1, 0, [(0, 1, 0), (0, 1, 0)])
+    assert Automaton(4, 2, 0, [(0, 1, 0), (0, 1, 1), (0, 2, 0), (1, 0, 1)]).m == 4
+
+
+def test_unsorted_rows_with_a_distant_duplicate_are_refused():
+    with pytest.raises(ValueError, match="duplicate"):
+        Automaton(4, 2, 0, [(1, 3, 0), (0, 1, 0), (2, 2, 1), (0, 2, 1), (1, 3, 0)])
+    # a row smaller than its neighbour but repeated nowhere is accepted
+    assert Automaton(4, 2, 0, [(1, 3, 0), (0, 1, 0), (2, 2, 1), (0, 2, 1)]).m == 4
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=12), st.booleans())
+def test_duplicate_check_matches_a_set(rows, sort):
+    rows = sorted(rows) if sort else rows
+    if len(set(rows)) < len(rows):
+        with pytest.raises(ValueError, match="duplicate"):
+            Automaton(4, 4, 0, rows)
+    else:
+        assert Automaton(4, 4, 0, rows).m == len(rows)
+
+
 def test_in_labels_takes_the_smallest_letter():
     edges = [(0, 3, 2), (0, 1, 1), (1, 3, 0), (2, 1, 2), (0, 3, 1)]
     a = Automaton(5, 3, 0, edges)
@@ -330,6 +356,21 @@ def test_serialization_round_trip_random(n, extra, rng):
     b = parse_automaton(serialize_automaton(a))
     assert a == b
     assert np.array_equal(a.in_labels(), b.in_labels())
+
+
+@given(st.integers(1, 30), st.integers(0, 60), st.booleans(), st.randoms(use_true_random=False))
+def test_serialize_matches_python_sorted_text(n, extra, big, rng):
+    sigma = rng.randint(1, 4)
+    if big:  # ids and letters past 32 bits
+        n, sigma = n + 2**62, sigma + 2**40
+    draw = [(rng.randrange(n), rng.randrange(n), rng.randrange(sigma)) for _ in range(extra)]
+    edges = list(dict.fromkeys(draw))
+    rng.shuffle(edges)
+    a = Automaton(n, sigma, rng.randrange(n), edges)
+    lines = ["# c", f"NFA {a.n} {a.m} {a.source} {a.sigma}"]
+    assert a.sorted_edges() == sorted(a.edges())
+    lines += [f"{u} {v} {c}" for u, v, c in sorted(a.edges())]
+    assert serialize_automaton(a, comment="c") == "\n".join(lines) + "\n"
 
 
 # --- parse_automaton: vectorized path against the line-by-line parse ---

@@ -237,3 +237,39 @@ def test_kernel_views_match_numpy_arrays(seed, kind, mode, order):
     stepwise = init_refinement(a, order)
     stepwise.run_to_completion(mode)
     assert stepwise.snapshot_partition() == base.snapshot_partition()
+
+
+def _parts_by_id(ref: Refinement) -> dict[int, tuple[int, ...]]:
+    parts = {}
+    for p in {int(v) for v in ref.partof}:
+        parts[p] = tuple(sorted(int(v) for v in ref.elems[ref.pbeg[p] : ref.pend[p]]))
+    return parts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([("nfa", "off"), ("dfa", "keep-first"), ("dfa", "keep-last")]),
+    st.sampled_from(["ascending", "descending"]),
+)
+def test_records_and_created_parts_at_larger_sizes(seed, kind_mode, order):
+    """Exact count records, no record shared by two groups, and created_parts
+    equal to the snapshot delta after every step, three-way splits included."""
+    kind, mode = kind_mode
+    rng = random.Random(seed)
+    n = rng.randint(2, 60)
+    sigma = rng.randint(1, min(4, n - 1))
+    if kind == "nfa":
+        a = gen_random_nfa(n, sigma, seed, m=rng.randint(n - 1, min(4 * (n - 1), n * (n - 1))))
+    else:
+        a = gen_random_dfa(n, sigma, seed)
+    ref = init_refinement(a, order)
+    before = _parts_by_id(ref)
+    while (rep := ref.step(mode)) is not None:
+        ref.check_invariants()
+        after = _parts_by_id(ref)
+        created = dict(rep.created_parts)
+        assert created == {q: after[q] for q in after.keys() - before.keys()}
+        changed = {after[p] for p in before if after[p] != before[p]}
+        assert set(after.values()) - set(before.values()) == set(created.values()) | changed
+        before = after
