@@ -6,7 +6,9 @@ each phase once per step, and run_full() loops over rounds entirely inside
 compiled code. With numba installed the functions are njit-compiled (cached);
 without it the same code runs as plain Python over zero-copy memoryviews of
 the engine arrays (kernel_view), whose items read and write as plain ints, so
-behaviour is byte-for-byte equivalent.
+behaviour is byte-for-byte equivalent. On that backend run_full can hand a
+splitter with many out-edges back to partition.run_refinement, which splits
+against it in numpy; compiled, every round stays here.
 
 The engine arrays travel as one Engine namedtuple, so the public kernels take
 (regs, st). split_kernel unpacks st into locals once per round and hands the
@@ -30,10 +32,15 @@ from collections import namedtuple
 
 try:
     from numba import njit
+    from numba.core.errors import NumbaError as KernelCompileError
 
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - numba is a declared dependency
     HAVE_NUMBA = False
+
+    class KernelCompileError(Exception):
+        """numba's NumbaError (typing and lowering failures) when numba is
+        installed; nothing raises it without numba."""
 
     def njit(*args, **kwargs):
         if args and callable(args[0]):
@@ -502,12 +509,33 @@ def split_kernel(regs, st, prune_mode):
 
 
 @njit(cache=True)
-def run_full(regs, st, prune_mode, max_rounds):
-    """Refine to the fixpoint: select and split until no compound X-part remains."""
+def run_full(regs, st, prune_mode, max_rounds, big_load):
+    """Refine to the fixpoint: select and split until no compound X-part remains.
+
+    With big_load > 0, a splitter B whose load (|B| plus the out-degrees of
+    its states) reaches big_load is left pending: run_full returns with
+    SPART >= 0 and STATUS ok, and the caller splits against B itself before
+    calling again. The load sum stops as soon as it reaches big_load.
+    partition.run_refinement passes NUMPY_ROUND_BLOCK on the pure-Python
+    backend without pruning, where a numpy round (0.25-0.4 ms fixed) beats
+    about 1 us per plain-Python edge from a few hundred edges on, and 0
+    otherwise: compiled, an edge costs nanoseconds, and pruning rounds also
+    delete edges.
+    """
+    elems, pbeg, pend, out_len = st.elems, st.pbeg, st.pend, st.out_len
     while regs[R_STATUS] == STATUS_OK:
         select_splitter_kernel(regs, st)
         if regs[R_SPART] < 0 or regs[R_STATUS] != STATUS_OK:
             break
+        if big_load > 0:
+            b = regs[R_BPART]
+            load = pend[b] - pbeg[b]
+            i = pbeg[b]
+            while load < big_load and i < pend[b]:
+                load += out_len[elems[i]]
+                i += 1
+            if load >= big_load:
+                return
         split_kernel(regs, st, prune_mode)
         regs[R_ROUNDS] += 1
         if regs[R_ROUNDS] > max_rounds:

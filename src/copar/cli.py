@@ -4,8 +4,9 @@ Subcommands: sort (Wheeler preorder of an NFA), prune (inf/sup pruning of a
 DFA), colex (smallest-width co-lex order of a DFA), check (oracle checks of
 an order or partition against an automaton), gen (seeded inputs), bench
 (engine scaling). Exit codes: 0 success, 1 validation or contract error,
-out of memory or engine invariant breach, 2 check failed, 3 parse or I/O
-error. Exits 1 and 3 explain themselves on stderr, never in a traceback.
+out of memory, engine invariant breach or kernel compile failure, 2 check
+failed, 3 parse or I/O error. Exits 1 and 3 explain themselves on stderr,
+never in a traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from copar._kernels import KernelCompileError
 from copar.automaton import (
     ParseError,
     ValidationError,
@@ -184,6 +186,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except KernelCompileError as exc:
+        # numba's messages span many lines: the failing step, the code, the frames
+        print(f"error: kernel compilation failed: {' '.join(str(exc).split())}", file=sys.stderr)
         return 1
 
 

@@ -12,6 +12,22 @@ sequence, walks its out-edges once and moves each reached state once.
 Refinement packs kernel views of these arrays into one copar._kernels.Engine
 record, which feeds both the one-step methods here and the monolithic
 run_full.
+
+A round runs in one of two modes. The kernel round walks B's out-edges one
+at a time: compiled with numba, else as plain Python at about 1 us an edge.
+On the pure-Python backend without pruning, run_refinement splits against
+a splitter whose load, |B| plus the out-degrees of its states, reaches
+NUMPY_ROUND_BLOCK in a numpy round (_numpy_round), which leaves the same
+engine up to record ids and the order inside parts. A numpy round costs
+0.25-0.4 ms even against a splitter of a few edges (the kernel round 30-40
+us), so it pays from a few hundred edges on. Compiled kernels never take
+it, since they walk an edge in nanoseconds; pruning runs never do, since
+their rounds also delete edges and the pruned workloads have no large
+splitter. The numpy round works in blocks of at most NUMPY_ROUND_BLOCK
+edges or states: freed temporaries of a whole round's size stay in glibc's
+heap once the parse has raised its mmap threshold, and unblocked they
+raised the peak RSS of the wheeler-sort benchmark by 6-14%. The stepwise
+API always runs the kernel round.
 """
 
 from __future__ import annotations
@@ -349,13 +365,209 @@ def init_refinement(a: Automaton, letter_order: str = "ascending") -> Refinement
 
 
 def run_refinement(ref: Refinement, prune_mode: str = "off") -> None:
-    """Refine to the fixpoint in one kernel call (the fast path).
+    """Refine to the fixpoint (the fast path).
 
     The loop over rounds runs inside run_full: compiled with numba, else as
-    plain Python over zero-copy memoryviews of the engine arrays.
+    plain Python over zero-copy memoryviews of the engine arrays. On the
+    pure-Python backend without pruning, run_full hands back every splitter
+    whose load reaches NUMPY_ROUND_BLOCK, and _numpy_round splits against
+    it before run_full resumes.
     """
     if ref._pending is not None:
         raise RuntimeError("cannot run to completion with a pending splitter")
     pm = _prune_code(prune_mode)
-    K.run_full(ref._kregs, ref._st, pm, ref.n + 1)
+    big_load = NUMPY_ROUND_BLOCK if pm == K.PRUNE_OFF and not K.HAVE_NUMBA else 0
+    r = ref.regs
+    max_rounds = ref.n + 1
+    K.run_full(ref._kregs, ref._st, pm, max_rounds, big_load)
+    while r[K.R_STATUS] == K.STATUS_OK and r[K.R_SPART] >= 0:
+        _numpy_round(ref)
+        r[K.R_ROUNDS] += 1
+        if r[K.R_ROUNDS] > max_rounds:
+            r[K.R_STATUS] = K.STATUS_ROUND_OVERRUN
+        K.run_full(ref._kregs, ref._st, pm, max_rounds, big_load)
     ref._raise_status()
+
+
+# ----------------------------------------------------------------------
+# the numpy round
+
+# A splitter whose load (its states plus their out-edges) reaches this many
+# is split by _numpy_round, and each temporary array of that round covers at
+# most this many edges or states (see the module docstring). On the
+# wheeler-sort benchmark input (2 cores, Python 3.11, numpy 2.4) refinement
+# takes 0.057 s at 256 (more, smaller blocks), 0.025 s at 1024 and 0.017 s
+# at 4096, whose blocks cost more peak RSS.
+NUMPY_ROUND_BLOCK = 1024
+
+
+def _spans(lo: np.ndarray, ln: np.ndarray, blk: int):
+    """The indices of the spans [lo[i], lo[i] + ln[i]), one span after
+    another, at most blk at a time: yields (owner, index) with owner[j] the
+    span that index[j] belongs to."""
+    ends = np.cumsum(ln)
+    total = int(ends[-1]) if ends.size else 0
+    for t0 in range(0, total, blk):
+        t = np.arange(t0, min(t0 + blk, total))
+        own = np.searchsorted(ends, t, side="right")
+        yield own, lo[own] + t - (ends[own] - ln[own])
+
+
+def _numpy_round(ref: Refinement) -> None:
+    """split_kernel(..., PRUNE_OFF) against the pending splitter, in numpy.
+
+    Leaves the engine as the kernel would, up to which count records are
+    used and the order of the states inside a part: the same counts,
+    record and free-stack sizes, round marks, xs, D_12 and D_11, and the
+    same new parts. Blocks of at most NUMPY_ROUND_BLOCK edges walk B's
+    out-edges in the kernel's order. A free record taken by the kernel on
+    x's first edge may be one that a later edge frees, so the fresh records
+    a block takes are computed from the running balance of first touches
+    over frees, and a block takes its new records from the free stack, the
+    records it frees and those fresh ones.
+    """
+    blk = NUMPY_ROUND_BLOCK
+    r = ref.regs
+    elems, edst, cnt_ref, cnt_val = ref.elems, ref.edst, ref.cnt_ref, ref.cnt_val
+    seen_gen, xrec, xs, free_stk = ref.seen_gen, ref.xrec, ref.xs, ref.free_stk
+    r[K.R_GEN] += 1
+    g = int(r[K.R_GEN])
+    b = int(r[K.R_BPART])
+    maxsplit = int(r[K.R_MAXSPLIT])
+    ftop = int(r[K.R_FREETOP])
+    nrec = int(r[K.R_NREC])
+    nxs = 0
+    for s0 in range(int(ref.pbeg[b]), int(ref.pend[b]), blk):
+        ys = elems[s0 : min(s0 + blk, int(ref.pend[b]))]
+        ref.binb_gen[ys] = g
+        ref.splitcnt[ys] += 1
+        maxsplit = max(maxsplit, int(ref.splitcnt[ys].max()))
+        for _, j in _spans(ref.out_ptr[ys], ref.out_len[ys], blk):
+            es = ref.out_lst[j]
+            xb = edst[es]
+            order, new = sorted_runs(xb)
+            starts = np.flatnonzero(new)
+            ends = np.append(starts[1:], xb.size)
+            first, last = order[starts], order[ends - 1]  # each x's first and last edge
+            cx = ends - starts
+            ux = xb[first]
+            # every B'-edge into x points at the record of (x, old splitter)
+            rold = cnt_ref[es[first]]
+            left = cnt_val[rold] - cx
+            cnt_val[rold] = left
+            freed = left == 0
+            newpos = np.sort(first[seen_gen[ux] != g])
+            newx = xb[newpos]
+            # the kernel frees at x's last edge and takes at x's first edge
+            bal = np.zeros(xb.size, dtype=np.int64)
+            bal[newpos] = 1
+            bal[last[freed]] -= 1
+            nfresh = max(int(np.cumsum(bal).max()) - ftop, 0)
+            if nrec + nfresh > cnt_val.shape[0]:
+                r[K.R_STATUS] = K.STATUS_RECORD_CAP
+                return
+            nfreed = int(np.count_nonzero(freed))
+            free_stk[ftop : ftop + nfreed] = rold[freed]
+            top = ftop + nfreed
+            ftop = top - (newx.size - nfresh)
+            xrec[newx] = np.append(free_stk[ftop:top], np.arange(nrec, nrec + nfresh))
+            nrec += nfresh
+            seen_gen[newx] = g
+            xs[nxs : nxs + newx.size] = newx
+            nxs += newx.size
+            cnt_val[xrec[ux]] += cx
+            cnt_ref[es] = xrec[xb]
+            seen_gen[ux[freed]] = -g
+    r[K.R_MAXSPLIT] = maxsplit
+    r[K.R_FREETOP] = ftop
+    r[K.R_NREC] = nrec
+    r[K.R_NXS] = nxs
+    n12 = n11 = 0
+    for i0 in range(0, nxs, blk):
+        xb = xs[i0 : min(i0 + blk, nxs)]
+        d11 = seen_gen[xb] == g
+        two, one = xb[~d11], xb[d11]
+        ref.d12[n12 : n12 + two.size] = two
+        ref.d11[n11 : n11 + one.size] = one
+        n12 += two.size
+        n11 += one.size
+    r[K.R_N12] = n12
+    r[K.R_N11] = n11
+    bfirst = bool(r[K.R_BFIRST])
+    _numpy_move(ref, ref.d12[:n12], bfirst)
+    if r[K.R_STATUS] == K.STATUS_OK:
+        _numpy_move(ref, ref.d11[:n11], bfirst)
+
+
+def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
+    """_move_split in numpy: the states of move go to the front (or back) of
+    their parts, each touched part splits into the moved piece, which takes a
+    fresh id, and the remainder. A moved state already inside its target
+    span stays put; the others swap with the unmoved states inside it."""
+    blk = NUMPY_ROUND_BLOCK
+    r = ref.regs
+    elems, pos, partof, pbeg, pend = ref.elems, ref.pos, ref.partof, ref.pbeg, ref.pend
+    moved_cnt, touched = ref.moved_cnt, ref.touched
+    ntouched = 0
+    for i0 in range(0, move.size, blk):
+        xm = move[i0 : i0 + blk]
+        p = partof[xm]
+        order, new = sorted_runs(p)
+        starts = np.flatnonzero(new)
+        cnt = np.append(starts[1:], xm.size) - starts
+        up = p[order[starts]]
+        k0 = moved_cnt[up]
+        fresh = k0 == 0  # first touched in this block, in first-touch order
+        tp = up[fresh][np.argsort(order[starts][fresh])]
+        touched[ntouched : ntouched + tp.size] = tp
+        ntouched += tp.size
+        moved_cnt[up] = k0 + cnt
+        lo = pbeg[up] + k0 if to_front else pend[up] - k0 - cnt
+        # sorted row i belongs to a part whose target span holds span[i]
+        grp = np.cumsum(new) - 1
+        span = lo[grp] + np.arange(xm.size) - starts[grp]
+        xsorted = xm[order]
+        ps = pos[xsorted]
+        at = ps - span + np.arange(xm.size)  # the row of span that ps would be
+        inside = (at >= starts[grp]) & (at < starts[grp] + cnt[grp])
+        held = np.zeros(xm.size, dtype=bool)
+        held[at[inside]] = True
+        holes, outs, px = span[~held], xsorted[~inside], ps[~inside]
+        other = elems[holes]
+        elems[holes] = outs
+        elems[px] = other
+        pos[outs] = holes
+        pos[other] = px
+    for t0 in range(0, ntouched, blk):
+        tp = touched[t0 : min(t0 + blk, ntouched)]
+        k = moved_cnt[tp]
+        moved_cnt[tp] = 0
+        split = k != pend[tp] - pbeg[tp]
+        sp, k = tp[split], k[split]
+        q0 = int(r[K.R_NPARTS])
+        if q0 + sp.size > pbeg.shape[0]:
+            r[K.R_STATUS] = K.STATUS_PART_CAP
+            return
+        r[K.R_NPARTS] = q0 + sp.size
+        q = np.arange(q0, q0 + sp.size)
+        if to_front:
+            pbeg[q] = pbeg[sp]
+            pend[q] = pbeg[sp] + k
+            pbeg[sp] += k
+        else:
+            pend[q] = pend[sp]
+            pbeg[q] = pend[sp] - k
+            pend[sp] -= k
+        xp = ref.xof[sp]
+        ref.xof[q] = xp
+        for own, j in _spans(pbeg[q], k, blk):
+            partof[elems[j]] = q[own]
+        # an X-part of one part is touched at most once per move
+        compound = xp[ref.xcnt[xp] == 1].tolist()
+        np.add.at(ref.xcnt, xp, 1)
+        for x in compound:
+            K._heap_push(ref._st.heap, ref._kregs, int(ref.xbeg[x]) * ref.kmod + x)
+        r[K.R_NCOMP] += len(compound)
+        nc = int(r[K.R_NCREATED])
+        ref.created[nc : nc + sp.size] = q
+        r[K.R_NCREATED] = nc + sp.size

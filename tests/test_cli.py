@@ -257,6 +257,30 @@ def test_cli_run_does_not_import_numpy_ma(loop_path, command):
     assert run.stdout.endswith("False\n")
 
 
+def test_numpy_round_does_not_import_numpy_ma(tmp_path):
+    # the source of this Wheeler NFA is a one-state splitter with more
+    # out-edges than partition.NUMPY_ROUND_BLOCK
+    from copar.generators import gen_wheeler_nfa
+
+    path = tmp_path / "wheeler.nfa"
+    path.write_text(serialize_automaton(gen_wheeler_nfa(3000, 3 * 2999, 3, 1)))
+    code = (
+        "import sys\n"
+        "from copar import cli, partition\n"
+        "rounds = []\n"
+        "one_round = partition._numpy_round\n"
+        "partition._numpy_round = lambda ref: (rounds.append(1), one_round(ref))\n"
+        f"assert cli.main(['sort', {str(path)!r}]) == 0\n"
+        "print(len(rounds), 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    rounds, loaded = run.stdout.split()[-2:]
+    assert int(rounds) > 0 or K.HAVE_NUMBA
+    assert loaded == "False"
+
+
 @pytest.mark.parametrize("argv", [["sort"], ["prune", "--mode", "inf"], ["colex"]])
 def test_cli_run_does_not_import_oracle_bench_or_generators(loop_path, argv):
     code = (
@@ -280,6 +304,22 @@ def test_exit_code_1_on_engine_status_error(loop_path, capsys, monkeypatch):
     assert cli.main(["sort", loop_path]) == 1
     err = capsys.readouterr().err
     assert err == f"error: refinement engine invariant breached (status {K.STATUS_HEAP_CAP})\n"
+
+
+def test_exit_code_1_on_kernel_compile_error(loop_path, capsys, monkeypatch):
+    # numba compiles a kernel on its first call and reports a typing failure
+    # over many lines
+    def typing_failure(*args):
+        raise K.KernelCompileError(
+            "Failed in nopython mode pipeline (step: nopython frontend)\n"
+            "Untyped global name 'HAVE_NUMBA'\n\nFile \"_kernels.py\", line 9:\n"
+        )
+
+    monkeypatch.setattr(K, "run_full", typing_failure)
+    assert cli.main(["sort", loop_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel compilation failed: Failed in nopython mode pipeline")
+    assert err.count("\n") == 1 and "Untyped global name" in err
 
 
 def test_loop_fixture_matches_example():

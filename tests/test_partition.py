@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copar import _kernels as K
-from copar.automaton import Automaton, OrderedPartition
+from copar import partition
+from copar.automaton import Automaton, OrderedPartition, path_dfa
 from copar.examples import example_loop_dfa, example_quasi_wheeler_nfa
-from copar.generators import gen_random_dfa, gen_random_nfa
+from copar.generators import gen_random_dfa, gen_random_nfa, gen_wheeler_nfa
 from copar.partition import PRUNE_MODES, Refinement, init_refinement, run_refinement
 
 
@@ -226,7 +227,7 @@ def test_kernel_views_match_numpy_arrays(seed, kind, mode, order):
     run_refinement(ref, mode)
     base = init_refinement(a, order)
     raw = K.Engine(*(np.asarray(v) for v in base._st))
-    K.run_full(base.regs, raw, PRUNE_MODES[mode], base.n + 1)
+    K.run_full(base.regs, raw, PRUNE_MODES[mode], base.n + 1, 0)
     base._raise_status()
     assert ref.rounds > 0
     assert np.array_equal(ref.regs, base.regs)
@@ -273,3 +274,142 @@ def test_records_and_created_parts_at_larger_sizes(seed, kind_mode, order):
         changed = {after[p] for p in before if after[p] != before[p]}
         assert set(after.values()) - set(before.values()) == set(created.values()) | changed
         before = after
+
+
+def _sturmian_path(n: int, seed: int) -> Automaton:
+    """Path DFA of a length-(n - 1) standard Sturmian word, directive digits
+    drawn from 1..3: Hopcroft-tight, every split two-way."""
+    rng = random.Random(seed)
+    word, prev = [0], [1]
+    while len(word) < n - 1:
+        word, prev = word * rng.randint(1, 3) + prev, word
+    return path_dfa(word[: n - 1])
+
+
+def _family(kind: str, n: int, seed: int) -> Automaton:
+    rng = random.Random(seed)
+    sigma = rng.randint(1, min(3, n - 1))
+    if kind == "nfa":
+        return gen_random_nfa(n, sigma, seed, m=rng.randint(n - 1, min(3 * (n - 1), n * (n - 1))))
+    if kind == "dfa":
+        return gen_random_dfa(n, sigma, seed)
+    if kind == "wheeler":
+        return gen_wheeler_nfa(n, rng.randint(n - 1, (sigma + 1) * (n - 1)), sigma, seed)
+    return _sturmian_path(n, seed)
+
+
+FAMILIES = ["nfa", "dfa", "wheeler", "sturmian"]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_numpy_rounds_match_the_kernel(kind, order, monkeypatch):
+    """With the constant at 1 every round is a numpy round of one-edge
+    blocks; at 3, rounds of loads 1 and 2 stay in the kernel and the others
+    span several blocks. Partitions, rounds and splitter counts equal a
+    kernel-only run, and the engine invariants hold after every numpy round
+    up to n = 200."""
+    numpy_rounds = []
+    one_round = partition._numpy_round
+
+    def checked_round(ref: Refinement) -> None:
+        one_round(ref)
+        numpy_rounds.append(ref.n)
+        if ref.n <= 200:
+            ref.check_invariants()
+
+    monkeypatch.setattr(partition, "_numpy_round", checked_round)
+    for seed, n, blk in [(0, 5, 1), (1, 12, 1), (2, 30, 1), (3, 60, 1), (4, 500, 1), (5, 2000, 3)]:
+        a = _family(kind, n, seed)
+        kernel = init_refinement(a, order)
+        kernel.run_to_completion()
+        monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", blk)
+        numpy_rounds.clear()
+        ref = init_refinement(a, order)
+        run_refinement(ref)
+        assert 0 < len(numpy_rounds) <= ref.rounds
+        assert blk > 1 or len(numpy_rounds) == ref.rounds
+        assert ref.snapshot_partition() == kernel.snapshot_partition()
+        assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
+
+
+def _state_after(a: Automaton, order: str, rounds: int) -> Refinement:
+    """The engine after that many kernel rounds, with the next splitter chosen."""
+    ref = init_refinement(a, order)
+    for _ in range(rounds):
+        ref.step()
+    K.select_splitter_kernel(ref._kregs, ref._st)
+    return ref
+
+
+@pytest.mark.parametrize("blk", [1, 2, 1024])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_numpy_round_leaves_the_kernel_state(kind, blk, monkeypatch):
+    """From the same state, one numpy round and one split_kernel round leave
+    the same engine, up to record ids and the order inside each part."""
+    monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", blk)
+    for seed in range(4):
+        a = _family(kind, random.Random(seed).randint(5, 40), seed)
+        order = ["ascending", "descending"][seed % 2]
+        total = init_refinement(a, order)
+        total.run_to_completion()
+        for k in range(total.rounds):
+            want, got = _state_after(a, order, k), _state_after(a, order, k)
+            K.split_kernel(want._kregs, want._st, K.PRUNE_OFF)
+            partition._numpy_round(got)
+            assert np.array_equal(got.regs, want.regs)
+            for f in ("binb_gen", "splitcnt", "seen_gen", "partof", "pbeg", "pend", "xof",
+                      "xbeg", "xend", "xcnt", "heap", "moved_cnt"):
+                assert np.array_equal(getattr(got, f), getattr(want, f)), f
+            r = got.regs
+            for f, reg in (("xs", K.R_NXS), ("d12", K.R_N12), ("d11", K.R_N11), ("created", K.R_NCREATED)):
+                assert np.array_equal(getattr(got, f)[: r[reg]], getattr(want, f)[: r[reg]]), f
+            assert _parts_by_id(got) == _parts_by_id(want)
+            assert np.array_equal(got.pos[got.elems], np.arange(got.n))
+            # the same grouping of edges into records, with the same counts
+            assert np.array_equal(got.cnt_val[got.cnt_ref], want.cnt_val[want.cnt_ref])
+            pairs = set(zip(got.cnt_ref.tolist(), want.cnt_ref.tolist()))
+            assert len(pairs) == len({p for p, _ in pairs}) == len({q for _, q in pairs})
+            xs = got.xs[: r[K.R_NXS]]
+            assert np.array_equal(got.cnt_val[got.xrec[xs]], want.cnt_val[want.xrec[xs]])
+            # free records are distinct, unused and count 0, as are those past NREC
+            free = got.free_stk[: r[K.R_FREETOP]]
+            assert np.unique(free).size == free.size and not got.cnt_val[free].any()
+            assert not set(free.tolist()) & set(got.cnt_ref.tolist())
+            assert (free < r[K.R_NREC]).all() and not got.cnt_val[r[K.R_NREC] :].any()
+
+
+@pytest.mark.parametrize("threshold", [1, 10**9])
+def test_record_capacity_breach_in_either_round(threshold, monkeypatch):
+    """Shrink the count records to the initial ones: the first round that
+    needs a fresh record stops with STATUS_RECORD_CAP, in numpy or not."""
+    monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", threshold)
+    ref = init_refinement(gen_random_nfa(40, 2, 3, m=100))
+    ref.cnt_val = ref.cnt_val[: ref.n].copy()
+    ref._st = ref._st._replace(cnt_val=K.kernel_view(ref.cnt_val))
+    with pytest.raises(RuntimeError, match=f"status {K.STATUS_RECORD_CAP}"):
+        run_refinement(ref)
+    assert ref.regs[K.R_STATUS] == K.STATUS_RECORD_CAP
+
+
+@pytest.mark.parametrize("numba,mode", [(True, "off"), (False, "keep-first"), (False, "keep-last")])
+def test_compiled_and_pruning_runs_make_one_run_full_call(numba, mode, monkeypatch):
+    """Only the pure-Python backend without pruning hands splitters back."""
+    monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", 1)
+    monkeypatch.setattr(K, "HAVE_NUMBA", numba)
+    calls = []
+    run_full = K.run_full
+
+    def counted(regs, st, prune_mode, max_rounds, big_load):
+        calls.append(big_load)
+        run_full(regs, st, prune_mode, max_rounds, big_load)
+
+    monkeypatch.setattr(K, "run_full", counted)
+    a = gen_random_dfa(60, 3, 5)
+    ref = init_refinement(a)
+    run_refinement(ref, mode)
+    assert calls == [0] and ref.rounds > 1
+    kernel = init_refinement(a)
+    kernel.run_to_completion(mode)
+    assert ref.snapshot_partition() == kernel.snapshot_partition()
+    assert ref.deleted_edge_ids() == kernel.deleted_edge_ids()
