@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from copar.automaton import Automaton, sorted_runs
-from copar.prune import PrunedAutomaton, refine_with_pruning
+from copar.prune import PrunedAutomaton, refine_with_pruning, require_dfa
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,9 @@ def colex_order(a: Automaton) -> ColexResult:
     states with the minimum number of chains. Raises ValueError on
     nondeterministic input and ValidationError on unclean automata.
     """
-    inf_p = refine_with_pruning(a, "inf")
-    sup_p = refine_with_pruning(a, "sup")
+    require_dfa(a)
+    inf_p = refine_with_pruning(a, "inf", checked=True)
+    sup_p = refine_with_pruning(a, "sup", checked=True)
     g = build_merged_graph(inf_p, sup_p)
     table = suffix_doubling_ranks(g)
     inf_rank = table.ranks[: a.n].copy()

@@ -1,4 +1,4 @@
-"""Refinable ordered partitions: the stepwise engine over the compiled phases.
+"""Refinable ordered partitions: the stepwise engine over the compiled kernel.
 
 A Refinement holds the whole engine state as flat arrays: the state sequence
 (elems/pos/partof), contiguous part and X-part spans, per-(state, X-part)
@@ -10,8 +10,9 @@ states and their D_12 and D_11 split, and each reached state's new count
 record. A round reads the splitter straight from its span of the state
 sequence, walks its out-edges once and moves each reached state once.
 Refinement packs kernel views of these arrays into one copar._kernels.Engine
-record, which feeds both the one-step methods here and the monolithic
-run_full.
+record for the one kernel, run_full, which runs every kernel round: to the
+fixpoint for run_refinement, and one selection or one round per call for
+select_splitter and three_way_split (SPART marks the pending splitter).
 
 A round runs in one of two modes. The kernel round walks B's out-edges one
 at a time: compiled with numba, else as plain Python at about 1 us an edge.
@@ -19,7 +20,7 @@ On the pure-Python backend without pruning, run_refinement splits against
 a splitter whose load, |B| plus the out-degrees of its states, reaches
 NUMPY_ROUND_BLOCK in a numpy round (_numpy_round), which leaves the same
 engine up to record ids and the order inside parts. A numpy round costs
-0.25-0.4 ms even against a splitter of a few edges (the kernel round 30-40
+0.25-0.4 ms even against a splitter of a few edges (a kernel round 10-30
 us), so it pays from a few hundred edges on. Compiled kernels never take
 it, since they walk an edge in nanoseconds; pruning runs never do, since
 their rounds also delete edges and the pruned workloads have no large
@@ -144,11 +145,11 @@ class Refinement:
         regs[K.R_NX] = 1
         regs[K.R_NREC] = n
         regs[K.R_KMOD] = self.kmod
+        regs[K.R_SPART] = -1  # no splitter pending
         self.regs = regs
         if nparts >= 2:
             K._heap_push(self.heap, regs, 0 * self.kmod + 0)
             regs[K.R_NCOMP] = 1
-        self._pending: SplitterChoice | None = None
         # The kernels take these views, never the arrays: the attributes
         # above stay numpy and see every write the kernels make.
         self._kregs = K.kernel_view(regs)
@@ -178,24 +179,27 @@ class Refinement:
         to the first); B is guaranteed to hold at most half of the X-part's
         states. Returns None once the refinement is complete.
         """
-        if self._pending is not None:
+        if self.regs[K.R_SPART] >= 0:
             raise RuntimeError("previous splitter not yet consumed by three_way_split")
-        K.select_splitter_kernel(self._kregs, self._st)
-        r = self.regs
+        K.run_full(self._kregs, self._st, K.PRUNE_OFF, self.rounds + 1, 1)
         self._raise_status()
-        if r[K.R_SPART] < 0:
+        if self.regs[K.R_SPART] < 0:
             return None
+        choice = self._pending_choice()
+        lo, hi = choice.x_span
+        assert 2 * len(choice.members) <= hi - lo, "splitter exceeds half its X-part"
+        return choice
+
+    def _pending_choice(self) -> SplitterChoice:
+        """The splitter select_splitter left pending in the registers."""
+        r = self.regs
         b = int(r[K.R_BPART])
-        members = tuple(int(v) for v in self.elems[self.pbeg[b] : self.pend[b]])
-        assert 2 * len(members) <= int(r[K.R_SHI] - r[K.R_SLO]), "splitter exceeds half its X-part"
-        choice = SplitterChoice(
+        return SplitterChoice(
             x_span=(int(r[K.R_SLO]), int(r[K.R_SHI])),
             part=b,
-            members=members,
+            members=tuple(int(v) for v in self.elems[self.pbeg[b] : self.pend[b]]),
             b_is_first=bool(r[K.R_BFIRST]),
         )
-        self._pending = choice
-        return choice
 
     def three_way_split(self, choice: SplitterChoice, prune_mode: str = "off") -> SplitReport:
         """Split every part touched from B into up to three pieces.
@@ -205,18 +209,16 @@ class Refinement:
         states lose the losing side's in-edges first, collapsing the split
         to two pieces. Returns the parts created and the edges deleted.
         """
-        if self._pending is None:
+        r = self.regs
+        if r[K.R_SPART] < 0:
             raise RuntimeError("call select_splitter before three_way_split")
-        if choice != self._pending:
+        if choice != self._pending_choice():
             raise ValueError("choice does not match the pending splitter")
         pm = _prune_code(prune_mode)
-        r = self.regs
         ncreated0 = int(r[K.R_NCREATED])
         ndel0 = int(r[K.R_NDEL])
-        K.split_kernel(self._kregs, self._st, pm)
+        K.run_full(self._kregs, self._st, pm, self.rounds + 1, 0)
         self._raise_status()
-        r[K.R_ROUNDS] += 1
-        self._pending = None
         created = []
         for q in (int(v) for v in self.created[ncreated0 : int(r[K.R_NCREATED])]):
             members = tuple(int(v) for v in np.sort(self.elems[self.pbeg[q] : self.pend[q]]))
@@ -371,21 +373,21 @@ def run_refinement(ref: Refinement, prune_mode: str = "off") -> None:
     plain Python over zero-copy memoryviews of the engine arrays. On the
     pure-Python backend without pruning, run_full hands back every splitter
     whose load reaches NUMPY_ROUND_BLOCK, and _numpy_round splits against
-    it before run_full resumes.
+    it before run_full resumes. A refinement of n states takes at most n - 1
+    rounds; reaching n + 2 is reported as a round overrun.
     """
-    if ref._pending is not None:
+    r = ref.regs
+    if r[K.R_SPART] >= 0:
         raise RuntimeError("cannot run to completion with a pending splitter")
     pm = _prune_code(prune_mode)
     big_load = NUMPY_ROUND_BLOCK if pm == K.PRUNE_OFF and not K.HAVE_NUMBA else 0
-    r = ref.regs
-    max_rounds = ref.n + 1
-    K.run_full(ref._kregs, ref._st, pm, max_rounds, big_load)
+    limit = ref.n + 2
+    K.run_full(ref._kregs, ref._st, pm, limit, big_load)
     while r[K.R_STATUS] == K.STATUS_OK and r[K.R_SPART] >= 0:
         _numpy_round(ref)
-        r[K.R_ROUNDS] += 1
-        if r[K.R_ROUNDS] > max_rounds:
-            r[K.R_STATUS] = K.STATUS_ROUND_OVERRUN
-        K.run_full(ref._kregs, ref._st, pm, max_rounds, big_load)
+        K.run_full(ref._kregs, ref._st, pm, limit, big_load)
+    if r[K.R_STATUS] == K.STATUS_OK and r[K.R_ROUNDS] >= limit:
+        r[K.R_STATUS] = K.STATUS_ROUND_OVERRUN
     ref._raise_status()
 
 
@@ -414,7 +416,8 @@ def _spans(lo: np.ndarray, ln: np.ndarray, blk: int):
 
 
 def _numpy_round(ref: Refinement) -> None:
-    """split_kernel(..., PRUNE_OFF) against the pending splitter, in numpy.
+    """A run_full round without pruning against the pending splitter, in
+    numpy; it consumes the splitter and counts the round.
 
     Leaves the engine as the kernel would, up to which count records are
     used and the order of the states inside a part: the same counts,
@@ -497,13 +500,16 @@ def _numpy_round(ref: Refinement) -> None:
     _numpy_move(ref, ref.d12[:n12], bfirst)
     if r[K.R_STATUS] == K.STATUS_OK:
         _numpy_move(ref, ref.d11[:n11], bfirst)
+    r[K.R_ROUNDS] += 1
+    r[K.R_SPART] = -1
 
 
 def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
-    """_move_split in numpy: the states of move go to the front (or back) of
-    their parts, each touched part splits into the moved piece, which takes a
-    fresh id, and the remainder. A moved state already inside its target
-    span stays put; the others swap with the unmoved states inside it."""
+    """The kernel's move in numpy: the states of move go to the front (or
+    back) of their parts, each touched part splits into the moved piece,
+    which takes a fresh id, and the remainder. A moved state already inside
+    its target span stays put; the others swap with the unmoved states
+    inside it."""
     blk = NUMPY_ROUND_BLOCK
     r = ref.regs
     elems, pos, partof, pbeg, pend = ref.elems, ref.pos, ref.partof, ref.pbeg, ref.pend

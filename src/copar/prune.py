@@ -66,20 +66,27 @@ def _sorted_edge_list(a: Automaton, ids: np.ndarray) -> list[tuple[int, int, int
     return list(zip(a.esrc[rows].tolist(), a.edst[rows].tolist(), a.elab[rows].tolist()))
 
 
-def refine_with_pruning(a: Automaton, direction: str) -> PrunedAutomaton:
+def require_dfa(a: Automaton) -> None:
+    """Raise ValidationError for an unclean automaton and ValueError for a
+    nondeterministic one."""
+    require_clean(a)
+    if not a.is_deterministic():
+        raise ValueError("DFA required: pruning is defined for deterministic automata only")
+
+
+def refine_with_pruning(a: Automaton, direction: str, *, checked: bool = False) -> PrunedAutomaton:
     """Run pruning refinement over a DFA, toward 'inf' or 'sup' strings.
 
     'inf' starts from the ascending letter order and 'sup' from the
     descending one; both keep, per contested state, the in-edges from the
     side of the splitter that comes first in the part order. Raises
     ValueError for nondeterministic input and ValidationError for unclean
-    automata.
+    automata, unless checked says that require_dfa(a) already passed.
     """
     if direction not in ("inf", "sup"):
         raise ValueError(f"direction must be 'inf' or 'sup', got {direction!r}")
-    require_clean(a)
-    if not a.is_deterministic():
-        raise ValueError("DFA required: pruning is defined for deterministic automata only")
+    if not checked:
+        require_dfa(a)
     letter_order = "ascending" if direction == "inf" else "descending"
     ref = init_refinement(a, letter_order)
     run_refinement(ref, "keep-first")

@@ -33,6 +33,7 @@ from copar.oracle import (
     naive_coarsest_forward_stable,
     naive_prefix_sort,
 )
+from copar.partition import init_refinement, run_refinement
 from copar.prune import backward_walk, refine_with_pruning
 from copar.refine import refine_all, wheeler_preorder
 from copar.bench import bench_scaling
@@ -216,6 +217,37 @@ def test_criterion_8_performance_and_scaling():
         f"doubling ratios {['%.2f' % r for r in ratios]}"
     )
     _report(8, ok, detail)
+
+
+def _sturmian_path(n: int, seed: int) -> Automaton:
+    """Path DFA of a length-(n - 1) standard Sturmian word, directive digits
+    drawn from 1..3: Hopcroft-tight, every final part a singleton."""
+    rng = random.Random(seed)
+    word, prev = [0], [1]
+    while len(word) < n - 1:
+        word, prev = word * rng.randint(1, 3) + prev, word
+    return path_dfa(word[: n - 1])
+
+
+def test_criterion_8_work_bound():
+    """The O(m log n) bound as engine work, free of wall-clock noise: each
+    state serves in at most floor(log2 n) + 1 splitters, so the splitter
+    states number at most n (floor(log2 n) + 1) and the out-edges they scan
+    at most m (floor(log2 n) + 1). splitcnt counts each state's splitters."""
+    rows = []
+    for n in (1_000, 10_000, 100_000):
+        nfa = gen_random_nfa(n, 3, n, m=3 * (n - 1))
+        for name, a in (("nfa", nfa), ("sturmian", _sturmian_path(n, n))):
+            ref = init_refinement(a)
+            run_refinement(ref)
+            cap = n.bit_length()  # floor(log2 n) + 1
+            states = int(ref.splitcnt.sum())
+            scanned = int((ref.splitcnt * ref.out_len[:n]).sum())
+            if states > n * cap or scanned > a.m * cap:
+                detail = f"{name} n={n}: {states} splitter states, {scanned} edges scanned"
+                _report(8, False, f"{detail}, cap {cap}")
+            rows.append(f"{name} n={n}: {states / (n * cap):.2f}/{scanned / (a.m * cap):.2f}")
+    _report(8, True, "splitter states/edges scanned over their bounds: " + ", ".join(rows))
 
 
 def test_criterion_9_suffix_doubling_saturation():

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from copar.automaton import Automaton
+from copar import refine
+from copar.automaton import Automaton, ValidationError
 from copar.colex import (
     build_merged_graph,
     colex_order,
@@ -116,6 +117,23 @@ def test_colex_requires_dfa():
     nfa = Automaton(3, 1, 0, [(0, 1, 0), (0, 2, 0), (1, 2, 0)])
     with pytest.raises(ValueError, match="DFA required"):
         colex_order(nfa)
+
+
+def test_colex_checks_its_input_once(monkeypatch):
+    """Both prunings trust colex_order's one validate and determinism check;
+    a direct refine_with_pruning call still makes both."""
+    calls = []
+    validate, is_det = refine.validate, Automaton.is_deterministic
+    monkeypatch.setattr(refine, "validate", lambda a: (calls.append("clean"), validate(a))[1])
+    monkeypatch.setattr(Automaton, "is_deterministic", lambda a: (calls.append("dfa"), is_det(a))[1])
+    colex_order(example_width_two_dfa())
+    assert calls == ["clean", "dfa"]
+    calls.clear()
+    refine_with_pruning(example_width_two_dfa(), "sup")
+    assert calls == ["clean", "dfa"]
+    unclean = Automaton(3, 1, 0, [(0, 1, 0)])
+    with pytest.raises(ValidationError):
+        colex_order(unclean)
 
 
 def test_serialize_colex_golden():

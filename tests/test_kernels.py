@@ -154,7 +154,7 @@ def violations(fn: ast.FunctionDef) -> list[str]:
 
 
 def test_kernels_found():
-    assert {"select_splitter_kernel", "split_kernel", "run_full", "_move_split"} <= set(KERNELS)
+    assert set(KERNELS) == {"_sift_up", "_heap_push", "_prune_d11", "run_full"}
 
 
 def test_kernels_stay_in_the_nopython_subset():
@@ -162,18 +162,19 @@ def test_kernels_stay_in_the_nopython_subset():
     assert found == {}
 
 
-def test_split_kernel_unpacks_engine_fields_in_order():
+def test_every_engine_unpack_follows_the_field_order():
     unpacks = [
         node
-        for node in ast.walk(KERNELS["split_kernel"])
+        for node in ast.walk(TREE)
         if isinstance(node, ast.Assign)
         and isinstance(node.value, ast.Name)
         and node.value.id == "st"
     ]
-    assert len(unpacks) == 1
-    (target,) = unpacks[0].targets
-    assert isinstance(target, ast.Tuple)
-    assert tuple(t.id for t in target.elts) == K.Engine._fields
+    assert len(unpacks) >= 1
+    for unpack in unpacks:
+        (target,) = unpack.targets
+        assert isinstance(target, ast.Tuple), unpack.lineno
+        assert tuple(t.id for t in target.elts) == K.Engine._fields, unpack.lineno
 
 
 def test_checker_rejects_constructs_outside_the_subset():

@@ -302,6 +302,33 @@ FAMILIES = ["nfa", "dfa", "wheeler", "sturmian"]
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("mode", sorted(PRUNE_MODES))
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_stepping_matches_one_run_full_call(kind, mode, order):
+    """After each step of a stepped run (select_splitter, then
+    three_way_split), regs and every Engine array equal what one run_full
+    call stopping at that many rounds leaves, the last step's empty
+    selection included: every register run_full holds in a local is
+    written back, and a pending splitter resumes where it stopped."""
+    for seed in range(4):
+        a = _family(kind, random.Random(seed).randint(5, 40), seed)
+        stepped = init_refinement(a, order)
+        for k in range(1, a.n + 2):
+            more = stepped.step(mode) is not None
+            one = init_refinement(a, order)
+            K.run_full(one._kregs, one._st, PRUNE_MODES[mode], k, 0)
+            assert np.array_equal(stepped.regs, one.regs), k
+            for f in K.Engine._fields:
+                assert np.array_equal(getattr(stepped, f), getattr(one, f)), (k, f)
+            r = one.regs
+            reached = np.append(one.d12[: r[K.R_N12]], one.d11[: r[K.R_N11]])
+            assert np.array_equal(np.sort(one.xs[: r[K.R_NXS]]), np.sort(reached)), k
+            if not more:
+                break
+        assert stepped.done and stepped.rounds == k - 1
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_numpy_rounds_match_the_kernel(kind, order, monkeypatch):
     """With the constant at 1 every round is a numpy round of one-edge
@@ -333,20 +360,19 @@ def test_numpy_rounds_match_the_kernel(kind, order, monkeypatch):
         assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
 
 
-def _state_after(a: Automaton, order: str, rounds: int) -> Refinement:
+def _state_after(a: Automaton, order: str, rounds: int) -> tuple[Refinement, partition.SplitterChoice]:
     """The engine after that many kernel rounds, with the next splitter chosen."""
     ref = init_refinement(a, order)
     for _ in range(rounds):
         ref.step()
-    K.select_splitter_kernel(ref._kregs, ref._st)
-    return ref
+    return ref, ref.select_splitter()
 
 
 @pytest.mark.parametrize("blk", [1, 2, 1024])
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_numpy_round_leaves_the_kernel_state(kind, blk, monkeypatch):
-    """From the same state, one numpy round and one split_kernel round leave
-    the same engine, up to record ids and the order inside each part."""
+    """From the same state, one numpy round and one kernel round leave the
+    same engine, up to record ids and the order inside each part."""
     monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", blk)
     for seed in range(4):
         a = _family(kind, random.Random(seed).randint(5, 40), seed)
@@ -354,8 +380,8 @@ def test_numpy_round_leaves_the_kernel_state(kind, blk, monkeypatch):
         total = init_refinement(a, order)
         total.run_to_completion()
         for k in range(total.rounds):
-            want, got = _state_after(a, order, k), _state_after(a, order, k)
-            K.split_kernel(want._kregs, want._st, K.PRUNE_OFF)
+            (want, choice), (got, _) = _state_after(a, order, k), _state_after(a, order, k)
+            want.three_way_split(choice)
             partition._numpy_round(got)
             assert np.array_equal(got.regs, want.regs)
             for f in ("binb_gen", "splitcnt", "seen_gen", "partof", "pbeg", "pend", "xof",
