@@ -18,9 +18,10 @@ them back on every return: on the pure-Python backend a namedtuple
 attribute read is a descriptor call and a register is a memoryview item,
 and the sub-kernel calls of a round, with their register traffic and
 unpacks, cost about 8 us of a 33-35 us round on the nfa-sort benchmark
-input (n = 12 000, 11 931 rounds, 2 cores, CPython 3.11). Only _prune_d11 (pruning rounds with
-D_11 states, about 7% of them) and the heap's _sift_up (at most two pushes
-a round, shared with _heap_push, which serves partition.py) stay calls.
+input (n = 12 000, 11 931 rounds, 2 cores, CPython 3.11). Only _prune_d11
+(pruning rounds with D_11 states, about 7% of them) and the heap's _sift_up
+(a push for each X-part a round turns compound, shared with _heap_push,
+which serves partition.py) stay calls.
 
 Register layout (indices into regs), every register read or written here:
   counters:  NPARTS, NX, HSIZE, GEN, NREC, FREETOP, ROUNDS, MAXSPLIT, NDEL,
@@ -112,6 +113,10 @@ PRUNE_OFF = 0
 PRUNE_KEEP_FIRST = 1
 PRUNE_KEEP_LAST = 2
 
+# seen_gen of a state that a split without pruning left alone in its part:
+# larger than any generation, so every later scan skips the state at once.
+ALONE = 1 << 62
+
 
 @njit(cache=True)
 def _sift_up(heap, i, key):
@@ -199,14 +204,15 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
     """Select and split until no compound X-part remains or ROUNDS reaches
     max_rounds.
 
-    A round first pops the leftmost compound X-part S off the heap, lazily
-    discarding stale entries (an entry is valid only while its begin is the
-    X-part's begin and the X-part is compound), and carves the smaller of
-    S's end parts as B (ties go to the first); B takes a fresh X id and the
-    remainder is re-queued while it stays compound. With big_load > 0 a
-    splitter whose load (|B| plus the out-degrees of its states, summed only
-    until it reaches big_load) reaches big_load is handed back pending:
-    run_full returns with SPART >= 0 and the caller splits against it
+    The heap holds each compound X-part exactly once, keyed by its begin
+    (xbeg * KMOD + id), so its root is the leftmost one, S. A round carves
+    the smaller of S's end parts as B (ties go to the first), and B takes a
+    fresh X id. The root is updated in place: popped when the remainder of
+    S is simple, its key sifted down when B was first (S's begin moved),
+    and left as it is when B was last. With big_load > 0 a splitter whose
+    load (|B| plus the out-degrees of its states, summed only until it
+    reaches big_load) reaches big_load is handed back pending: run_full
+    returns with SPART >= 0 and the caller splits against it
     (Refinement.select_splitter passes 1, partition.run_refinement passes
     NUMPY_ROUND_BLOCK on the pure-Python backend without pruning, else 0).
     A pending splitter is split first on the next call; SPART is -1 when
@@ -214,13 +220,15 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
 
     The split is one pass over B's out-edges. Each edge e -> x leaves its
     record of (x, S), which is decremented and freed at zero, and joins the
-    record of (x, B's X-part), taken from the free stack on x's first edge
-    only after that decrement, so a record freed by x itself is reused at
-    once. Free records and those at or past NREC count 0, so a taken record
-    starts at 0, and the old record keeps counting the remainder side
-    without being rewritten. An old record reaching zero means every in-edge
-    of x from S came from B' (the states of B): x is D_12 (seen_gen = -GEN),
-    the other reached states are D_11. No state of B moves during the pass.
+    record of (x, B's X-part), taken from the free stack on x's first edge.
+    When that first edge is x's only one from S, the old record simply
+    becomes the new one with its count of 1. Free records and those at or
+    past NREC count 0, so a taken record starts at 0, and the old record
+    keeps counting the remainder side without being rewritten. An old
+    record reaching zero means every in-edge of x from S came from B' (the
+    states of B): x is D_12 (seen_gen = -GEN), the other reached states are
+    D_11. No state of B moves during the pass.
+
     Without pruning, D_12 and then D_11 move toward B's side of their parts
     and split off, giving the pieces (D_12, D_11, rest) when B was first and
     the mirror when it was last. With pruning the D_11 states first lose the
@@ -228,7 +236,14 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
     from the winning side toward it. A moved piece takes a fresh part id
     and the remainder keeps the old one (and the count records of its
     states' in-edges); a part whose states all moved stays whole, and an
-    X-part turning compound is queued.
+    X-part turning compound is pushed.
+
+    Without pruning, a split that leaves a state alone in its part sets its
+    seen_gen to ALONE, and the pass skips every edge into such a state
+    before reading a record: a singleton part never splits again, so the
+    state never enters xs, D_12, D_11 or a move, and its records go stale.
+    Pruning runs mark nothing, since a D_11 singleton still loses edges;
+    the caller never mixes the two in one refinement.
 
     The registers a round updates live in locals and are written back on
     every return; the heap sifts move a hole instead of swapping.
@@ -244,30 +259,12 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
     rounds, maxsplit, status = regs[R_ROUNDS], regs[R_MAXSPLIT], regs[R_STATUS]
     s, b, bfirst, slo, shi = regs[R_SPART], regs[R_BPART], regs[R_BFIRST], regs[R_SLO], regs[R_SHI]
     nxs, n12, n11 = regs[R_NXS], regs[R_N12], regs[R_N11]
+    mark = prune_mode == PRUNE_OFF
     while status == STATUS_OK and rounds < max_rounds:
         if s < 0:
-            while hsize > 0:
-                key = heap[0]
-                hsize -= 1
-                hole = heap[hsize]
-                i = 0
-                c = 1
-                while c < hsize:
-                    if c + 1 < hsize and heap[c + 1] < heap[c]:
-                        c += 1
-                    if hole <= heap[c]:
-                        break
-                    heap[i] = heap[c]
-                    i = c
-                    c = 2 * i + 1
-                heap[i] = hole
-                beg = key // kmod
-                x = key % kmod
-                if xbeg[x] == beg and xcnt[x] >= 2:
-                    s = x
-                    break
-            if s < 0:
+            if hsize == 0:
                 break
+            s = heap[0] % kmod
             slo = xbeg[s]
             shi = xend[s]
             b = partof[elems[slo]]
@@ -288,18 +285,31 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
             xof[b] = nx
             nx += 1
             xcnt[s] -= 1
+            # S is the heap root: pop it once simple, sift its new key down
+            # when B was first, else its key stands
+            key = -1
+            if xcnt[s] < 2:
+                ncomp -= 1
+                hsize -= 1
+                key = heap[hsize]
+            elif bfirst == 1:
+                key = pend[b] * kmod + s
             if bfirst == 1:
                 xbeg[s] = pend[b]
             else:
                 xend[s] = pbeg[b]
-            if xcnt[s] >= 2:
-                if hsize >= hcap:
-                    status = STATUS_HEAP_CAP
-                    break
-                _sift_up(heap, hsize, xbeg[s] * kmod + s)
-                hsize += 1
-            else:
-                ncomp -= 1
+            if key >= 0:
+                i = 0
+                c = 1
+                while c < hsize:
+                    if c + 1 < hsize and heap[c + 1] < heap[c]:
+                        c += 1
+                    if key <= heap[c]:
+                        break
+                    heap[i] = heap[c]
+                    i = c
+                    c = 2 * i + 1
+                heap[i] = key
             if big_load > 0:
                 load = pend[b] - pbeg[b]
                 i = pbeg[b]
@@ -321,32 +331,41 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
             for j in range(base, base + out_len[y]):
                 e = out_lst[j]
                 x = edst[e]
+                sg = seen_gen[x]
+                if sg == ALONE:
+                    continue
                 r = cnt_ref[e]
                 left = cnt_val[r] - 1
-                cnt_val[r] = left
-                if left == 0:
-                    free_stk[ftop] = r
-                    ftop += 1
-                if seen_gen[x] == gen:
+                if sg == gen:
+                    cnt_val[r] = left
                     nr = xrec[x]
-                else:
-                    seen_gen[x] = gen
-                    xs[nxs] = x
-                    nxs += 1
-                    if ftop > 0:
-                        ftop -= 1
-                        nr = free_stk[ftop]
-                    else:
-                        nr = nrec
-                        if nr >= rcap:
-                            status = STATUS_RECORD_CAP
-                            break
-                        nrec = nr + 1
-                    xrec[x] = nr
-                cnt_val[nr] += 1
-                cnt_ref[e] = nr
-                if left == 0:
+                    cnt_val[nr] += 1
+                    cnt_ref[e] = nr
+                    if left == 0:
+                        free_stk[ftop] = r
+                        ftop += 1
+                        seen_gen[x] = -gen
+                    continue
+                xs[nxs] = x
+                nxs += 1
+                if left == 0:  # x's only edge from S keeps its record at 1
+                    xrec[x] = r
                     seen_gen[x] = -gen
+                    continue
+                cnt_val[r] = left
+                seen_gen[x] = gen
+                if ftop > 0:
+                    ftop -= 1
+                    nr = free_stk[ftop]
+                else:
+                    nr = nrec
+                    if nr >= rcap:
+                        status = STATUS_RECORD_CAP
+                        break
+                    nrec = nr + 1
+                xrec[x] = nr
+                cnt_val[nr] = 1
+                cnt_ref[e] = nr
             if status != STATUS_OK:
                 break
         if status != STATUS_OK:
@@ -421,6 +440,11 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
                 xof[q] = xp
                 for i in range(pbeg[q], pend[q]):
                     partof[elems[i]] = q
+                if mark:
+                    if k == 1:
+                        seen_gen[elems[pbeg[q]]] = ALONE
+                    if hi - lo - k == 1:
+                        seen_gen[elems[pbeg[p]]] = ALONE
                 xcnt[xp] += 1
                 if xcnt[xp] == 2:
                     if hsize >= hcap:

@@ -3,16 +3,27 @@
 A Refinement holds the whole engine state as flat arrays: the state sequence
 (elems/pos/partof), contiguous part and X-part spans, per-(state, X-part)
 count records with per-edge record pointers, mutable adjacency in CSR form
-with swap-remove deletion, and a lazily validated min-heap of compound
-X-part candidates. Seven more arrays of n serve the rounds: the round marks
-of the splitter and of the reached states, the splitter counts, the reached
-states and their D_12 and D_11 split, and each reached state's new count
-record. A round reads the splitter straight from its span of the state
-sequence, walks its out-edges once and moves each reached state once.
-Refinement packs kernel views of these arrays into one copar._kernels.Engine
-record for the one kernel, run_full, which runs every kernel round: to the
-fixpoint for run_refinement, and one selection or one round per call for
+with swap-remove deletion, and a min-heap that holds each compound X-part
+exactly once, keyed by its begin; a round updates its root in place. Seven
+more arrays of n serve the rounds: the round marks of the splitter and of
+the reached states, the splitter counts, the reached states and their D_12
+and D_11 split, and each reached state's new count record. A round reads
+the splitter straight from its span of the state sequence, walks its
+out-edges once and moves each reached state once. Refinement packs kernel
+views of these arrays into one copar._kernels.Engine record for the one
+kernel, run_full, which runs every kernel round: to the fixpoint for
+run_refinement, and one selection or one round per call for
 select_splitter and three_way_split (SPART marks the pending splitter).
+
+The first split fixes the refinement's prune mode, and a later split with
+another mode raises ValueError. Without pruning, a split that leaves a
+state alone in its part marks it (seen_gen = _kernels.ALONE), and every
+later round skips the edges into it, so its count records go stale: a
+pruning round must still find a D_11 singleton's records exact, so
+pruning runs mark nothing. Only pruning deletes edges, so only a pruning
+mode builds the in-edge lists and the edge positions that deletion
+updates (in_lst, in_pos, out_pos); without it they are 1-element
+placeholders.
 
 A round runs in one of two modes. The kernel round walks B's out-edges one
 at a time: compiled with numba, else as plain Python at about 1 us an edge.
@@ -91,7 +102,7 @@ class Refinement:
         pcap = n + 2
         xcap = n + 2
         rcap = m + n + 2
-        hcap = 4 * n + 16
+        hcap = n // 2 + 2  # each compound X-part once, and each has two states
         self.kmod = n + 2
 
         self.elems, new = sorted_runs(key)
@@ -116,11 +127,12 @@ class Refinement:
         self.esrc = np.asarray(a.esrc, dtype=np.int64)
         self.edst = np.asarray(a.edst, dtype=np.int64)
         self.out_lst, self.out_ptr, self.out_len = csr(self.esrc, n)
-        self.out_pos = np.empty(m, dtype=np.int64)
-        self.out_pos[self.out_lst] = np.arange(m, dtype=np.int64)
-        self.in_lst, self.in_ptr, self.in_len = csr(self.edst, n)
-        self.in_pos = np.empty(m, dtype=np.int64)
-        self.in_pos[self.in_lst] = np.arange(m, dtype=np.int64)
+        self.in_len = np.bincount(self.edst, minlength=n)
+        self.in_ptr = np.cumsum(self.in_len) - self.in_len
+        # only pruning deletes edges: _fix_prune_mode builds these three
+        # for a pruning run, and the kernels never read them otherwise
+        self.in_lst = self.in_pos = self.out_pos = np.zeros(1, dtype=np.int64)
+        self.prune_mode: str | None = None
 
         self.cnt_val = np.zeros(rcap, dtype=np.int64)
         self.cnt_val[:n] = self.in_len
@@ -208,13 +220,14 @@ class Refinement:
         when B was last; with pruning ('keep-first' or 'keep-last') the D_11
         states lose the losing side's in-edges first, collapsing the split
         to two pieces. Returns the parts created and the edges deleted.
+        The first split fixes the prune mode for the whole refinement.
         """
         r = self.regs
         if r[K.R_SPART] < 0:
             raise RuntimeError("call select_splitter before three_way_split")
         if choice != self._pending_choice():
             raise ValueError("choice does not match the pending splitter")
-        pm = _prune_code(prune_mode)
+        pm = self._fix_prune_mode(prune_mode)
         ncreated0 = int(r[K.R_NCREATED])
         ndel0 = int(r[K.R_NDEL])
         K.run_full(self._kregs, self._st, pm, self.rounds + 1, 0)
@@ -231,10 +244,36 @@ class Refinement:
 
     def step(self, prune_mode: str = "off") -> SplitReport | None:
         """select_splitter plus three_way_split; None once refinement is done."""
+        self._fix_prune_mode(prune_mode)
         choice = self.select_splitter()
         if choice is None:
             return None
         return self.three_way_split(choice, prune_mode)
+
+    def _fix_prune_mode(self, prune_mode: str) -> int:
+        """The kernel code of prune_mode, which the first split fixes for the
+        whole refinement (see the module docstring); a later split with
+        another mode raises ValueError. Fixing a pruning mode builds the
+        arrays that edge deletion updates.
+        """
+        pm = _prune_code(prune_mode)
+        if self.prune_mode is None:
+            self.prune_mode = prune_mode
+            if pm != K.PRUNE_OFF:
+                m = self.m
+                self.in_lst = csr(self.edst, self.n)[0]
+                self.in_pos = np.empty(m, dtype=np.int64)
+                self.in_pos[self.in_lst] = np.arange(m, dtype=np.int64)
+                self.out_pos = np.empty(m, dtype=np.int64)
+                self.out_pos[self.out_lst] = np.arange(m, dtype=np.int64)
+                self._st = self._st._replace(
+                    **{f: K.kernel_view(getattr(self, f)) for f in ("in_lst", "in_pos", "out_pos")}
+                )
+        elif prune_mode != self.prune_mode:
+            raise ValueError(
+                f"this refinement runs with prune_mode {self.prune_mode!r}, got {prune_mode!r}"
+            )
+        return pm
 
     def run_to_completion(self, prune_mode: str = "off", debug: bool = False) -> None:
         """Step until done, from Python (use run_refinement for large inputs)."""
@@ -254,6 +293,8 @@ class Refinement:
 
     def surviving_in_edges(self, v: int) -> list[int]:
         """Ids of v's in-edges still alive (in storage order of the CSR)."""
+        if self.prune_mode in (None, "off"):  # every edge is alive
+            return np.flatnonzero(self.edst == v).tolist()
         base = int(self.in_ptr[v])
         return [int(self.in_lst[base + j]) for j in range(int(self.in_len[v]))]
 
@@ -306,6 +347,15 @@ class Refinement:
             if len(members) >= 2:
                 ncomp += 1
         assert ncomp == int(self.regs[K.R_NCOMP]), "compound X-part counter out of sync"
+        heap = [int(k) for k in self.heap[: int(self.regs[K.R_HSIZE])]]
+        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap))), "heap order breached"
+        assert sorted(heap) == sorted(
+            int(self.xbeg[x]) * self.kmod + x for x in alive_x if int(self.xcnt[x]) >= 2
+        ), "the heap does not hold each compound X-part once under its begin"
+        alone = {v for v in range(n) if int(self.seen_gen[v]) == K.ALONE}
+        for v in alone:
+            p = int(self.partof[v])
+            assert int(self.pend[p]) - int(self.pbeg[p]) == 1, f"marked state {v} is not alone"
 
         live = [e for v in range(n) for e in self.surviving_in_edges(v)]
         assert sorted(live) == sorted(
@@ -313,13 +363,15 @@ class Refinement:
             for u in range(n)
             for j in range(int(self.out_len[u]))
         ), "in and out adjacency disagree on live edges"
+        # rounds skip marked states, so only the others keep exact records
+        counted = [e for e in live if int(self.edst[e]) not in alone]
         expected: dict[tuple[int, int], int] = {}
-        for e in live:
+        for e in counted:
             x = int(self.edst[e])
             xp = int(self.xof[self.partof[self.esrc[e]]])
             expected[(x, xp)] = expected.get((x, xp), 0) + 1
         rec_of: dict[tuple[int, int], int] = {}
-        for e in live:
+        for e in counted:
             x = int(self.edst[e])
             xp = int(self.xof[self.partof[self.esrc[e]]])
             r = int(self.cnt_ref[e])
@@ -374,12 +426,13 @@ def run_refinement(ref: Refinement, prune_mode: str = "off") -> None:
     pure-Python backend without pruning, run_full hands back every splitter
     whose load reaches NUMPY_ROUND_BLOCK, and _numpy_round splits against
     it before run_full resumes. A refinement of n states takes at most n - 1
-    rounds; reaching n + 2 is reported as a round overrun.
+    rounds; reaching n + 2 is reported as a round overrun. The first split
+    fixes the prune mode for the whole refinement.
     """
     r = ref.regs
     if r[K.R_SPART] >= 0:
         raise RuntimeError("cannot run to completion with a pending splitter")
-    pm = _prune_code(prune_mode)
+    pm = ref._fix_prune_mode(prune_mode)
     big_load = NUMPY_ROUND_BLOCK if pm == K.PRUNE_OFF and not K.HAVE_NUMBA else 0
     limit = ref.n + 2
     K.run_full(ref._kregs, ref._st, pm, limit, big_load)
@@ -447,6 +500,9 @@ def _numpy_round(ref: Refinement) -> None:
         maxsplit = max(maxsplit, int(ref.splitcnt[ys].max()))
         for _, j in _spans(ref.out_ptr[ys], ref.out_len[ys], blk):
             es = ref.out_lst[j]
+            es = es[seen_gen[edst[es]] != K.ALONE]
+            if es.size == 0:
+                continue
             xb = edst[es]
             order, new = sorted_runs(xb)
             starts = np.flatnonzero(new)
@@ -568,6 +624,9 @@ def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
         ref.xof[q] = xp
         for own, j in _spans(pbeg[q], k, blk):
             partof[elems[j]] = q[own]
+        # numpy rounds run only without pruning, so they mark as the kernel does
+        ref.seen_gen[elems[pbeg[q[k == 1]]]] = K.ALONE
+        ref.seen_gen[elems[pbeg[sp[pend[sp] - pbeg[sp] == 1]]]] = K.ALONE
         # an X-part of one part is touched at most once per move
         compound = xp[ref.xcnt[xp] == 1].tolist()
         np.add.at(ref.xcnt, xp, 1)

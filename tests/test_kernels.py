@@ -8,7 +8,7 @@ names and subscripts, if/while/for-over-range, integer constants, arithmetic,
 comparison and boolean operators, subscripts of parameters and locals,
 .shape[0], attribute reads of st that name an Engine field, positional calls
 to range and to the module's other @njit functions, and the module's int
-constants R_*, STATUS_* and PRUNE_*. It cannot check typing unification,
+constants R_*, STATUS_*, PRUNE_* and ALONE. It cannot check typing unification,
 which only numba does.
 """
 
@@ -49,6 +49,7 @@ ALLOWED = (
     ast.expr_context,
 )
 CONST_PREFIXES = ("R_", "STATUS_", "PRUNE_")
+CONST_NAMES = ("ALONE",)
 
 
 def _is_njit(node: ast.FunctionDef) -> bool:
@@ -66,7 +67,7 @@ KERNELS = {
 
 def _int_constant(name: str) -> bool:
     value = getattr(K, name, None)
-    return name.startswith(CONST_PREFIXES) and isinstance(value, int) and not isinstance(value, bool)
+    return (name.startswith(CONST_PREFIXES) or name in CONST_NAMES) and isinstance(value, int) and not isinstance(value, bool)
 
 
 def _locals(fn: ast.FunctionDef) -> set[str]:

@@ -97,6 +97,71 @@ def test_split_contract_errors():
         run_refinement(_with_pending(example_quasi_wheeler_nfa()))
 
 
+def test_one_prune_mode_per_refinement():
+    """The first split fixes the mode; only a pruning mode builds the
+    arrays that edge deletion updates."""
+    a = gen_random_dfa(20, 2, 4)
+    ref = init_refinement(a)
+    assert ref.in_lst.size == ref.in_pos.size == ref.out_pos.size == 1
+    ref.step("keep-first")
+    assert ref.in_lst.size == ref.in_pos.size == ref.out_pos.size == a.m
+    with pytest.raises(ValueError, match="'keep-first', got 'off'"):
+        ref.step("off")
+    ch = ref.select_splitter()
+    with pytest.raises(ValueError, match="'keep-first', got 'keep-last'"):
+        ref.three_way_split(ch, "keep-last")
+    ref.three_way_split(ch, "keep-first")  # the splitter is still pending
+    with pytest.raises(ValueError, match="'keep-first', got 'off'"):
+        run_refinement(ref)
+    run_refinement(ref, "keep-first")
+    off = init_refinement(a)
+    run_refinement(off)
+    assert off.in_lst.size == 1
+    with pytest.raises(ValueError, match="'off', got 'keep-first'"):
+        off.step("keep-first")
+    with pytest.raises(ValueError, match="prune_mode must be one of"):
+        off.step("keep")
+
+
+def test_a_state_left_alone_is_skipped_when_reached_again():
+    """0 -a-> 1 -a-> 3 -b-> 2 and 0 -b-> 2. The first round, against B = {0},
+    splits {1, 3} into {1} and {3}; the second, against B = {1}, reaches 3
+    again and leaves it out of the round, its record untouched."""
+    ref = init_refinement(Automaton(4, 2, 0, [(0, 1, 0), (0, 2, 1), (1, 3, 0), (3, 2, 1)]))
+    ref.step()
+    assert ref.snapshot_partition().parts == [[0], [1], [3], [2]]
+    assert ref.seen_gen[1] == ref.seen_gen[3] == K.ALONE
+    (e,) = ref.surviving_in_edges(3)
+    record = (int(ref.cnt_ref[e]), int(ref.cnt_val[ref.cnt_ref[e]]))
+    ch = ref.select_splitter()
+    assert ch.members == (1,)
+    ref.three_way_split(ch)
+    assert (int(ref.cnt_ref[e]), int(ref.cnt_val[ref.cnt_ref[e]])) == record
+    assert ref.regs[K.R_NXS] == 0
+    ref.check_invariants()
+    ref.run_to_completion(debug=True)
+    assert ref.snapshot_partition().parts == [[0], [1], [3], [2]]
+
+
+def test_invariant_scan_sees_a_bad_marker_or_heap():
+    a = gen_random_nfa(12, 2, 1)
+    ref = init_refinement(a)
+    ref.step()
+    ref.check_invariants()
+    p = int(np.argmax(ref.pend - ref.pbeg))  # a part of two or more states
+    v = int(ref.elems[ref.pbeg[p]])
+    kept, ref.seen_gen[v] = int(ref.seen_gen[v]), K.ALONE
+    with pytest.raises(AssertionError, match=f"marked state {v} is not alone"):
+        ref.check_invariants()
+    ref.seen_gen[v] = kept
+    hsize = int(ref.regs[K.R_HSIZE])
+    assert hsize >= 1
+    ref.heap[hsize] = ref.heap[hsize - 1]
+    ref.regs[K.R_HSIZE] = hsize + 1
+    with pytest.raises(AssertionError, match="compound X-part once"):
+        ref.check_invariants()
+
+
 def _with_pending(a: Automaton) -> Refinement:
     ref = init_refinement(a)
     ref.select_splitter()
@@ -226,6 +291,7 @@ def test_kernel_views_match_numpy_arrays(seed, kind, mode, order):
     ref = init_refinement(a, order)
     run_refinement(ref, mode)
     base = init_refinement(a, order)
+    base._fix_prune_mode(mode)
     raw = K.Engine(*(np.asarray(v) for v in base._st))
     K.run_full(base.regs, raw, PRUNE_MODES[mode], base.n + 1, 0)
     base._raise_status()
@@ -316,6 +382,7 @@ def test_stepping_matches_one_run_full_call(kind, mode, order):
         for k in range(1, a.n + 2):
             more = stepped.step(mode) is not None
             one = init_refinement(a, order)
+            one._fix_prune_mode(mode)
             K.run_full(one._kregs, one._st, PRUNE_MODES[mode], k, 0)
             assert np.array_equal(stepped.regs, one.regs), k
             for f in K.Engine._fields:
