@@ -1,6 +1,6 @@
 """Compiled ordered partition refinement: one kernel runs every round.
 
-run_full(regs, st, prune_mode, max_rounds, big_load) selects a splitter,
+run_full(regs, st, prune, max_rounds, big_load) selects a splitter,
 splits against it and loops, over flat int64 arrays plus a small register
 file (regs). Both callers drive it: partition.run_refinement runs it to the
 fixpoint, and the stepwise Refinement API runs it one selection or one
@@ -109,10 +109,6 @@ STATUS_RECORD_CAP = 4
 STATUS_SPLITTER_SIZE = 5
 STATUS_ROUND_OVERRUN = 6
 
-PRUNE_OFF = 0
-PRUNE_KEEP_FIRST = 1
-PRUNE_KEEP_LAST = 2
-
 # seen_gen of a state that a split without pruning left alone in its part:
 # larger than any generation, so every later scan skips the state at once.
 ALONE = 1 << 62
@@ -143,16 +139,15 @@ def _heap_push(heap, regs, key):
 
 
 @njit(cache=True)
-def _prune_d11(regs, st, keep_b, g, s, ftop, n11):
+def _prune_d11(regs, st, bfirst, g, s, ftop, n11):
     """Delete the losing side's in-edges of every D_11 state; returns the
     new free-stack top.
 
-    keep_b is 1 when the kept side is B's, so the losing edges come from the
-    remainder of the old splitter s (not marked g, source in X-part s), and
-    0 when they come from B' (marked g). keep-first keeps the side that comes
-    first in the part order, keep-last the other. Deleted edges are unlinked
-    from both adjacency lists (swap-remove) and their count record is
-    decremented on the spot.
+    Pruning keeps the side that comes first in the part order. bfirst is 1
+    when that is B's side, so the losing edges come from the remainder of
+    the old splitter s (not marked g, source in X-part s), and 0 when they
+    come from B' (marked g). Deleted edges are unlinked from both adjacency
+    lists (swap-remove) and their count record is decremented on the spot.
     """
     (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
      esrc, edst, out_ptr, out_len, out_lst, out_pos, in_ptr, in_len, in_lst, in_pos,
@@ -166,7 +161,7 @@ def _prune_d11(regs, st, keep_b, g, s, ftop, n11):
         while j < in_len[x]:
             e = in_lst[base + j]
             y = esrc[e]
-            if keep_b == 1:
+            if bfirst == 1:
                 doomed = binb_gen[y] != g and xof[partof[y]] == s
             else:
                 doomed = binb_gen[y] == g
@@ -200,7 +195,7 @@ def _prune_d11(regs, st, keep_b, g, s, ftop, n11):
 
 
 @njit(cache=True)
-def run_full(regs, st, prune_mode, max_rounds, big_load):
+def run_full(regs, st, prune, max_rounds, big_load):
     """Select and split until no compound X-part remains or ROUNDS reaches
     max_rounds.
 
@@ -229,21 +224,23 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
     states of B): x is D_12 (seen_gen = -GEN), the other reached states are
     D_11. No state of B moves during the pass.
 
-    Without pruning, D_12 and then D_11 move toward B's side of their parts
-    and split off, giving the pieces (D_12, D_11, rest) when B was first and
-    the mirror when it was last. With pruning the D_11 states first lose the
-    losing side's in-edges, and one move takes the states that kept edges
-    from the winning side toward it. A moved piece takes a fresh part id
-    and the remainder keeps the old one (and the count records of its
-    states' in-edges); a part whose states all moved stays whole, and an
-    X-part turning compound is pushed.
+    Without pruning (prune = 0), D_12 and then D_11 move toward B's side of
+    their parts and split off, giving the pieces (D_12, D_11, rest) when B
+    was first and the mirror when it was last. With pruning (prune = 1) the
+    D_11 states first lose their in-edges from the side that comes later in
+    the part order, and one move takes the states that kept edges from the
+    first side toward it: all reached states when B was first, D_12 when it
+    was last. A moved piece takes a fresh part id and the remainder keeps
+    the old one (and the count records of its states' in-edges); a part
+    whose states all moved stays whole, and an X-part turning compound is
+    pushed.
 
     Without pruning, a split that leaves a state alone in its part sets its
     seen_gen to ALONE, and the pass skips every edge into such a state
     before reading a record: a singleton part never splits again, so the
     state never enters xs, D_12, D_11 or a move, and its records go stale.
     Pruning runs mark nothing, since a D_11 singleton still loses edges;
-    the caller never mixes the two in one refinement.
+    a refinement fixes prune when it is built.
 
     The registers a round updates live in locals and are written back on
     every return; the heap sifts move a hole instead of swapping.
@@ -259,7 +256,6 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
     rounds, maxsplit, status = regs[R_ROUNDS], regs[R_MAXSPLIT], regs[R_STATUS]
     s, b, bfirst, slo, shi = regs[R_SPART], regs[R_BPART], regs[R_BFIRST], regs[R_SLO], regs[R_SHI]
     nxs, n12, n11 = regs[R_NXS], regs[R_N12], regs[R_N11]
-    mark = prune_mode == PRUNE_OFF
     while status == STATUS_OK and rounds < max_rounds:
         if s < 0:
             if hsize == 0:
@@ -382,17 +378,15 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
                 n12 += 1
         move = d12
         nmove = n12
-        if prune_mode != PRUNE_OFF:
-            keep_b = 0
-            if (prune_mode == PRUNE_KEEP_FIRST) == (bfirst == 1):
-                keep_b = 1
+        if prune == 1:
+            if bfirst == 1:
                 move = xs
                 nmove = nxs
             if n11 > 0:
-                ftop = _prune_d11(regs, st, keep_b, gen, s, ftop, n11)
+                ftop = _prune_d11(regs, st, bfirst, gen, s, ftop, n11)
         for ps in range(2):
             if ps == 1:
-                if prune_mode != PRUNE_OFF or status != STATUS_OK:
+                if prune == 1 or status != STATUS_OK:
                     break
                 move = d11
                 nmove = n11
@@ -440,7 +434,7 @@ def run_full(regs, st, prune_mode, max_rounds, big_load):
                 xof[q] = xp
                 for i in range(pbeg[q], pend[q]):
                     partof[elems[i]] = q
-                if mark:
+                if prune == 0:
                     if k == 1:
                         seen_gen[elems[pbeg[q]]] = ALONE
                     if hi - lo - k == 1:

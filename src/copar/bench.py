@@ -28,9 +28,9 @@ class BenchRow:
 
 def _input_for(op: str, n: int, seed: int):
     if op == "sort":
-        return gen_wheeler_nfa(n, 3 * (n - 1), 3, seed), "ascending", "off"
+        return gen_wheeler_nfa(n, 3 * (n - 1), 3, seed), "ascending", False
     if op == "prune":
-        return gen_random_dfa(n, 4, seed, m=2 * n), "ascending", "keep-first"
+        return gen_random_dfa(n, 4, seed, m=2 * n), "ascending", True
     raise ValueError(f"unknown op {op!r}: choose from {OPS}")
 
 
@@ -41,14 +41,14 @@ def bench_scaling(
     rows = []
     for op in ops:
         for n in sizes:
-            a, order, mode = _input_for(op, n, seed)
-            ref = init_refinement(a, order)
-            run_refinement(ref, mode)  # warm-up
+            a, order, prune = _input_for(op, n, seed)
+            ref = init_refinement(a, order, prune=prune)
+            run_refinement(ref)  # warm-up
             times = []
             for _ in range(trials):
                 t0 = time.perf_counter()
-                ref = init_refinement(a, order)
-                run_refinement(ref, mode)
+                ref = init_refinement(a, order, prune=prune)
+                run_refinement(ref)
                 times.append((time.perf_counter() - t0) * 1000.0)
             rows.append(
                 BenchRow(

@@ -15,14 +15,15 @@ kernel, run_full, which runs every kernel round: to the fixpoint for
 run_refinement, and one selection or one round per call for
 select_splitter and three_way_split (SPART marks the pending splitter).
 
-The first split fixes the refinement's prune mode, and a later split with
-another mode raises ValueError. Without pruning, a split that leaves a
-state alone in its part marks it (seen_gen = _kernels.ALONE), and every
-later round skips the edges into it, so its count records go stale: a
-pruning round must still find a D_11 singleton's records exact, so
-pruning runs mark nothing. Only pruning deletes edges, so only a pruning
-mode builds the in-edge lists and the edge positions that deletion
-updates (in_lst, in_pos, out_pos); without it they are 1-element
+A refinement runs plain or pruning, as chosen when it is built: pruning
+deletes, from each contested state, its in-edges from the side of the
+splitter that comes later in the part order. Without pruning, a split
+that leaves a state alone in its part marks it (seen_gen =
+_kernels.ALONE), and every later round skips the edges into it, so its
+count records go stale: a pruning round must still find a D_11
+singleton's records exact, so pruning runs mark nothing. Only a pruning
+refinement builds the arrays that edge deletion updates (in_lst, in_pos,
+out_pos and the deletion log, deleted); a plain one holds 1-element
 placeholders.
 
 A round runs in one of two modes. The kernel round walks B's out-edges one
@@ -50,8 +51,6 @@ import numpy as np
 
 from copar import _kernels as K
 from copar.automaton import Automaton, OrderedPartition, csr, sorted_runs
-
-PRUNE_MODES = {"off": K.PRUNE_OFF, "keep-first": K.PRUNE_KEEP_FIRST, "keep-last": K.PRUNE_KEEP_LAST}
 
 DEBUG_SCAN_LIMIT = 200
 
@@ -81,10 +80,12 @@ class Refinement:
     letter_order 'ascending' starts from (source, letter 0 states, letter 1
     states, ...); 'descending' reverses the letter blocks and puts the
     source block last. Input must be input-consistent (unique in-letter per
-    state); reachability is not required here.
+    state); reachability is not required here. prune deletes, from each
+    state reached from both sides of a splitter, its in-edges from the side
+    that comes later in the part order (defined for DFAs).
     """
 
-    def __init__(self, a: Automaton, letter_order: str = "ascending"):
+    def __init__(self, a: Automaton, letter_order: str = "ascending", *, prune: bool = False):
         if letter_order not in ("ascending", "descending"):
             raise ValueError(f"letter_order must be 'ascending' or 'descending', got {letter_order!r}")
         n, m = a.n, a.m
@@ -93,6 +94,7 @@ class Refinement:
             raise ValueError("states with conflicting in-letters; make the input consistent first")
         self.automaton = a
         self.letter_order = letter_order
+        self.prune = bool(prune)
         self.n = n
         self.m = m
         if letter_order == "ascending":
@@ -129,10 +131,15 @@ class Refinement:
         self.out_lst, self.out_ptr, self.out_len = csr(self.esrc, n)
         self.in_len = np.bincount(self.edst, minlength=n)
         self.in_ptr = np.cumsum(self.in_len) - self.in_len
-        # only pruning deletes edges: _fix_prune_mode builds these three
-        # for a pruning run, and the kernels never read them otherwise
-        self.in_lst = self.in_pos = self.out_pos = np.zeros(1, dtype=np.int64)
-        self.prune_mode: str | None = None
+        if self.prune:
+            self.in_lst = csr(self.edst, n)[0]
+            self.in_pos = np.empty(m, dtype=np.int64)
+            self.in_pos[self.in_lst] = np.arange(m, dtype=np.int64)
+            self.out_pos = np.empty(m, dtype=np.int64)
+            self.out_pos[self.out_lst] = np.arange(m, dtype=np.int64)
+            self.deleted = np.zeros(max(m, 1), dtype=np.int64)
+        else:  # only pruning deletes edges; the kernels never read these
+            self.in_lst = self.in_pos = self.out_pos = self.deleted = np.zeros(1, dtype=np.int64)
 
         self.cnt_val = np.zeros(rcap, dtype=np.int64)
         self.cnt_val[:n] = self.in_len
@@ -150,7 +157,6 @@ class Refinement:
         self.moved_cnt = np.zeros(pcap, dtype=np.int64)
         self.touched = np.zeros(pcap, dtype=np.int64)
         self.created = np.zeros(pcap, dtype=np.int64)
-        self.deleted = np.zeros(max(m, 1), dtype=np.int64)
 
         regs = np.zeros(K.NREGS, dtype=np.int64)
         regs[K.R_NPARTS] = nparts
@@ -193,7 +199,7 @@ class Refinement:
         """
         if self.regs[K.R_SPART] >= 0:
             raise RuntimeError("previous splitter not yet consumed by three_way_split")
-        K.run_full(self._kregs, self._st, K.PRUNE_OFF, self.rounds + 1, 1)
+        K.run_full(self._kregs, self._st, int(self.prune), self.rounds + 1, 1)
         self._raise_status()
         if self.regs[K.R_SPART] < 0:
             return None
@@ -213,24 +219,22 @@ class Refinement:
             b_is_first=bool(r[K.R_BFIRST]),
         )
 
-    def three_way_split(self, choice: SplitterChoice, prune_mode: str = "off") -> SplitReport:
+    def three_way_split(self, choice: SplitterChoice) -> SplitReport:
         """Split every part touched from B into up to three pieces.
 
         Piece order is (D_12, D_11, rest) when B was first and the mirror
-        when B was last; with pruning ('keep-first' or 'keep-last') the D_11
-        states lose the losing side's in-edges first, collapsing the split
-        to two pieces. Returns the parts created and the edges deleted.
-        The first split fixes the prune mode for the whole refinement.
+        when B was last; with pruning the D_11 states first lose their
+        in-edges from the later side, collapsing the split to two pieces.
+        Returns the parts created and the edges deleted.
         """
         r = self.regs
         if r[K.R_SPART] < 0:
             raise RuntimeError("call select_splitter before three_way_split")
         if choice != self._pending_choice():
             raise ValueError("choice does not match the pending splitter")
-        pm = self._fix_prune_mode(prune_mode)
         ncreated0 = int(r[K.R_NCREATED])
         ndel0 = int(r[K.R_NDEL])
-        K.run_full(self._kregs, self._st, pm, self.rounds + 1, 0)
+        K.run_full(self._kregs, self._st, int(self.prune), self.rounds + 1, 0)
         self._raise_status()
         created = []
         for q in (int(v) for v in self.created[ncreated0 : int(r[K.R_NCREATED])]):
@@ -242,42 +246,16 @@ class Refinement:
             deleted.append((int(a.esrc[e]), int(a.edst[e]), int(a.elab[e])))
         return SplitReport(choice, tuple(created), tuple(deleted))
 
-    def step(self, prune_mode: str = "off") -> SplitReport | None:
+    def step(self) -> SplitReport | None:
         """select_splitter plus three_way_split; None once refinement is done."""
-        self._fix_prune_mode(prune_mode)
         choice = self.select_splitter()
         if choice is None:
             return None
-        return self.three_way_split(choice, prune_mode)
+        return self.three_way_split(choice)
 
-    def _fix_prune_mode(self, prune_mode: str) -> int:
-        """The kernel code of prune_mode, which the first split fixes for the
-        whole refinement (see the module docstring); a later split with
-        another mode raises ValueError. Fixing a pruning mode builds the
-        arrays that edge deletion updates.
-        """
-        pm = _prune_code(prune_mode)
-        if self.prune_mode is None:
-            self.prune_mode = prune_mode
-            if pm != K.PRUNE_OFF:
-                m = self.m
-                self.in_lst = csr(self.edst, self.n)[0]
-                self.in_pos = np.empty(m, dtype=np.int64)
-                self.in_pos[self.in_lst] = np.arange(m, dtype=np.int64)
-                self.out_pos = np.empty(m, dtype=np.int64)
-                self.out_pos[self.out_lst] = np.arange(m, dtype=np.int64)
-                self._st = self._st._replace(
-                    **{f: K.kernel_view(getattr(self, f)) for f in ("in_lst", "in_pos", "out_pos")}
-                )
-        elif prune_mode != self.prune_mode:
-            raise ValueError(
-                f"this refinement runs with prune_mode {self.prune_mode!r}, got {prune_mode!r}"
-            )
-        return pm
-
-    def run_to_completion(self, prune_mode: str = "off", debug: bool = False) -> None:
+    def run_to_completion(self, debug: bool = False) -> None:
         """Step until done, from Python (use run_refinement for large inputs)."""
-        while self.step(prune_mode) is not None:
+        while self.step() is not None:
             if debug:
                 self.check_invariants()
 
@@ -293,7 +271,9 @@ class Refinement:
 
     def surviving_in_edges(self, v: int) -> list[int]:
         """Ids of v's in-edges still alive (in storage order of the CSR)."""
-        if self.prune_mode in (None, "off"):  # every edge is alive
+        if not 0 <= v < self.n:
+            raise ValueError(f"state {v} out of range")
+        if not self.prune:  # every edge is alive
             return np.flatnonzero(self.edst == v).tolist()
         base = int(self.in_ptr[v])
         return [int(self.in_lst[base + j]) for j in range(int(self.in_len[v]))]
@@ -400,25 +380,16 @@ class Refinement:
             )
 
 
-def _prune_code(prune_mode: str) -> int:
-    try:
-        return PRUNE_MODES[prune_mode]
-    except KeyError:
-        raise ValueError(
-            f"prune_mode must be one of {sorted(PRUNE_MODES)}, got {prune_mode!r}"
-        ) from None
-
-
 # ----------------------------------------------------------------------
 # module-level operations
 
 
-def init_refinement(a: Automaton, letter_order: str = "ascending") -> Refinement:
+def init_refinement(a: Automaton, letter_order: str = "ascending", *, prune: bool = False) -> Refinement:
     """Set up refinement: parts grouped by in-letter, X covering everything."""
-    return Refinement(a, letter_order)
+    return Refinement(a, letter_order, prune=prune)
 
 
-def run_refinement(ref: Refinement, prune_mode: str = "off") -> None:
+def run_refinement(ref: Refinement) -> None:
     """Refine to the fixpoint (the fast path).
 
     The loop over rounds runs inside run_full: compiled with numba, else as
@@ -426,19 +397,18 @@ def run_refinement(ref: Refinement, prune_mode: str = "off") -> None:
     pure-Python backend without pruning, run_full hands back every splitter
     whose load reaches NUMPY_ROUND_BLOCK, and _numpy_round splits against
     it before run_full resumes. A refinement of n states takes at most n - 1
-    rounds; reaching n + 2 is reported as a round overrun. The first split
-    fixes the prune mode for the whole refinement.
+    rounds; reaching n + 2 is reported as a round overrun.
     """
     r = ref.regs
     if r[K.R_SPART] >= 0:
         raise RuntimeError("cannot run to completion with a pending splitter")
-    pm = ref._fix_prune_mode(prune_mode)
-    big_load = NUMPY_ROUND_BLOCK if pm == K.PRUNE_OFF and not K.HAVE_NUMBA else 0
+    prune = int(ref.prune)
+    big_load = NUMPY_ROUND_BLOCK if not prune and not K.HAVE_NUMBA else 0
     limit = ref.n + 2
-    K.run_full(ref._kregs, ref._st, pm, limit, big_load)
+    K.run_full(ref._kregs, ref._st, prune, limit, big_load)
     while r[K.R_STATUS] == K.STATUS_OK and r[K.R_SPART] >= 0:
         _numpy_round(ref)
-        K.run_full(ref._kregs, ref._st, pm, limit, big_load)
+        K.run_full(ref._kregs, ref._st, prune, limit, big_load)
     if r[K.R_STATUS] == K.STATUS_OK and r[K.R_ROUNDS] >= limit:
         r[K.R_STATUS] = K.STATUS_ROUND_OVERRUN
     ref._raise_status()

@@ -88,8 +88,8 @@ def refine_with_pruning(a: Automaton, direction: str, *, checked: bool = False) 
     if not checked:
         require_dfa(a)
     letter_order = "ascending" if direction == "inf" else "descending"
-    ref = init_refinement(a, letter_order)
-    run_refinement(ref, "keep-first")
+    ref = init_refinement(a, letter_order, prune=True)
+    run_refinement(ref)
     return _assemble(a, direction, ref)
 
 

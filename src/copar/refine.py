@@ -72,7 +72,7 @@ def refine_all(a: Automaton, letter_order: str = "ascending") -> OrderedPartitio
     """
     require_clean(a)
     ref = init_refinement(a, letter_order)
-    run_refinement(ref, "off")
+    run_refinement(ref)
     return ref.snapshot_partition()
 
 
@@ -80,7 +80,7 @@ def wheeler_preorder(a: Automaton) -> WheelerPreorder:
     """Sort an NFA: Wheeler preorder, quotient automaton and quasi-Wheeler flag."""
     require_clean(a)
     ref = init_refinement(a, "ascending")
-    run_refinement(ref, "off")
+    run_refinement(ref)
     partition = ref.snapshot_partition()
     rounds, max_splitter_count = ref.rounds, ref.max_splitter_count
     del ref  # free the engine's arrays before the quotient sorts the edges

@@ -207,7 +207,7 @@ def test_criterion_8_performance_and_scaling():
     if res.max_splitter_count > cap:
         _report(8, False, f"splitter counter {res.max_splitter_count} exceeds {cap}")
     sizes = [5**6 * 2**i for i in range(5)]
-    rows = bench_scaling(sizes, trials=3, ops=("sort",), seed=1729)
+    rows = bench_scaling(sizes, trials=5, ops=("sort",), seed=1729)
     ratios = [b.median_ms / a.median_ms for a, b in zip(rows, rows[1:])]
     if any(r.max_splitters > r.n.bit_length() for r in rows):
         _report(8, False, "splitter counter exceeds floor(log2 n) + 1 in the scaling suite")

@@ -8,7 +8,7 @@ names and subscripts, if/while/for-over-range, integer constants, arithmetic,
 comparison and boolean operators, subscripts of parameters and locals,
 .shape[0], attribute reads of st that name an Engine field, positional calls
 to range and to the module's other @njit functions, and the module's int
-constants R_*, STATUS_*, PRUNE_* and ALONE. It cannot check typing unification,
+constants R_*, STATUS_* and ALONE. It cannot check typing unification,
 which only numba does.
 """
 
@@ -48,7 +48,7 @@ ALLOWED = (
     ast.cmpop,
     ast.expr_context,
 )
-CONST_PREFIXES = ("R_", "STATUS_", "PRUNE_")
+CONST_PREFIXES = ("R_", "STATUS_")
 CONST_NAMES = ("ALONE",)
 
 

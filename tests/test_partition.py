@@ -14,7 +14,10 @@ from copar import partition
 from copar.automaton import Automaton, OrderedPartition, path_dfa
 from copar.examples import example_loop_dfa, example_quasi_wheeler_nfa
 from copar.generators import gen_random_dfa, gen_random_nfa, gen_wheeler_nfa
-from copar.partition import PRUNE_MODES, Refinement, init_refinement, run_refinement
+from copar.partition import Refinement, init_refinement, run_refinement
+
+# test ids name the two ways a refinement runs
+PRUNE = {"off": False, "keep-first": True}
 
 
 def test_initial_layout_letter_orders():
@@ -68,15 +71,13 @@ def test_stepwise_trace_quasi_fixture():
     [
         ("keep-first", "ascending", [(1, 2, 0)], [[0], [2], [1]]),
         ("keep-first", "descending", [(2, 2, 0)], [[1], [2], [0]]),
-        ("keep-last", "ascending", [(2, 2, 0)], [[0], [2], [1]]),
-        ("keep-last", "descending", [(1, 2, 0)], [[1], [2], [0]]),
     ],
 )
 def test_pruning_traces_loop_dfa(mode, order, expect_deleted, expect_parts):
-    ref = init_refinement(example_loop_dfa(), order)
+    ref = init_refinement(example_loop_dfa(), order, prune=PRUNE[mode])
     deleted = []
     while not ref.done:
-        deleted.extend(ref.step(mode).deleted_edges)
+        deleted.extend(ref.step().deleted_edges)
     assert deleted == expect_deleted
     assert ref.snapshot_partition().parts == expect_parts
     ref.check_invariants()
@@ -97,30 +98,28 @@ def test_split_contract_errors():
         run_refinement(_with_pending(example_quasi_wheeler_nfa()))
 
 
-def test_one_prune_mode_per_refinement():
-    """The first split fixes the mode; only a pruning mode builds the
-    arrays that edge deletion updates."""
+def test_only_a_pruning_refinement_builds_the_deletion_arrays():
     a = gen_random_dfa(20, 2, 4)
-    ref = init_refinement(a)
-    assert ref.in_lst.size == ref.in_pos.size == ref.out_pos.size == 1
-    ref.step("keep-first")
-    assert ref.in_lst.size == ref.in_pos.size == ref.out_pos.size == a.m
-    with pytest.raises(ValueError, match="'keep-first', got 'off'"):
-        ref.step("off")
-    ch = ref.select_splitter()
-    with pytest.raises(ValueError, match="'keep-first', got 'keep-last'"):
-        ref.three_way_split(ch, "keep-last")
-    ref.three_way_split(ch, "keep-first")  # the splitter is still pending
-    with pytest.raises(ValueError, match="'keep-first', got 'off'"):
-        run_refinement(ref)
-    run_refinement(ref, "keep-first")
-    off = init_refinement(a)
-    run_refinement(off)
-    assert off.in_lst.size == 1
-    with pytest.raises(ValueError, match="'off', got 'keep-first'"):
-        off.step("keep-first")
-    with pytest.raises(ValueError, match="prune_mode must be one of"):
-        off.step("keep")
+    plain = init_refinement(a)
+    pruning = init_refinement(a, prune=True)
+    for f in ("in_lst", "in_pos", "out_pos", "deleted"):
+        assert getattr(plain, f).size == 1, f
+        assert getattr(pruning, f).size == a.m, f
+    for v in range(a.n):
+        assert sorted(plain.surviving_in_edges(v)) == sorted(pruning.surviving_in_edges(v))
+    run_refinement(plain)
+    run_refinement(pruning)
+    assert plain.deleted_edge_ids() == []
+    assert pruning.deleted_edge_ids()
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_surviving_in_edges_rejects_states_out_of_range(prune):
+    ref = init_refinement(gen_random_dfa(10, 2, 4), prune=prune)
+    for v in (-1, 10, 99):
+        with pytest.raises(ValueError, match=f"state {v} out of range"):
+            ref.surviving_in_edges(v)
+    assert ref.surviving_in_edges(9)
 
 
 def test_a_state_left_alone_is_skipped_when_reached_again():
@@ -201,7 +200,7 @@ def test_run_is_deterministic():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from(["off", "keep-first", "keep-last"]))
+@given(st.integers(0, 10_000), st.sampled_from(list(PRUNE)))
 def test_invariants_hold_after_every_step(seed, mode):
     rng = random.Random(seed)
     n = rng.randint(2, 16)
@@ -211,14 +210,14 @@ def test_invariants_hold_after_every_step(seed, mode):
     else:
         a = gen_random_dfa(n, sigma, seed)
     order = rng.choice(["ascending", "descending"])
-    ref = init_refinement(a, order)
+    ref = init_refinement(a, order, prune=PRUNE[mode])
     ref.check_invariants()
     while not ref.done:
-        ref.step(mode)
+        ref.step()
         ref.check_invariants()
     # and the monolithic path lands on the same partition
-    ref2 = init_refinement(a, order)
-    run_refinement(ref2, mode)
+    ref2 = init_refinement(a, order, prune=PRUNE[mode])
+    run_refinement(ref2)
     assert ref.snapshot_partition() == ref2.snapshot_partition()
     assert sorted(ref.deleted_edge_ids()) == sorted(ref2.deleted_edge_ids())
 
@@ -251,7 +250,7 @@ def _snapshot_by_parts(ref: Refinement) -> list[list[int]]:
     st.integers(0, 10_000),
     st.booleans(),
     st.sampled_from(["ascending", "descending"]),
-    st.sampled_from(["off", "keep-first"]),
+    st.sampled_from(list(PRUNE)),
 )
 def test_snapshot_matches_per_part_construction(seed, dfa, order, mode):
     rng = random.Random(seed)
@@ -259,12 +258,12 @@ def test_snapshot_matches_per_part_construction(seed, dfa, order, mode):
     sigma = rng.randint(1, min(3, n - 1))
     # pruning is defined for DFAs only
     a = gen_random_dfa(n, sigma, seed) if dfa or mode != "off" else gen_random_nfa(n, sigma, seed)
-    ref = init_refinement(a, order)
+    ref = init_refinement(a, order, prune=PRUNE[mode])
     while True:
         snap = ref.snapshot_partition()
         assert snap.parts == _snapshot_by_parts(ref)
         assert snap == OrderedPartition(_snapshot_by_parts(ref))
-        if ref.step(mode) is None:
+        if ref.step() is None:
             break
 
 
@@ -288,12 +287,11 @@ def test_kernel_views_match_numpy_arrays(seed, kind, mode, order):
         a = gen_random_nfa(n, min(3, n - 1), seed, m=min(3 * (n - 1), n * (n - 1)))
     else:
         a = gen_random_dfa(n, min(4, n - 1), seed)
-    ref = init_refinement(a, order)
-    run_refinement(ref, mode)
-    base = init_refinement(a, order)
-    base._fix_prune_mode(mode)
+    ref = init_refinement(a, order, prune=PRUNE[mode])
+    run_refinement(ref)
+    base = init_refinement(a, order, prune=PRUNE[mode])
     raw = K.Engine(*(np.asarray(v) for v in base._st))
-    K.run_full(base.regs, raw, PRUNE_MODES[mode], base.n + 1, 0)
+    K.run_full(base.regs, raw, int(base.prune), base.n + 1, 0)
     base._raise_status()
     assert ref.rounds > 0
     assert np.array_equal(ref.regs, base.regs)
@@ -301,8 +299,8 @@ def test_kernel_views_match_numpy_arrays(seed, kind, mode, order):
         assert np.array_equal(np.asarray(got), want)
     assert ref.snapshot_partition() == base.snapshot_partition()
     assert ref.deleted_edge_ids() == base.deleted_edge_ids()
-    stepwise = init_refinement(a, order)
-    stepwise.run_to_completion(mode)
+    stepwise = init_refinement(a, order, prune=PRUNE[mode])
+    stepwise.run_to_completion()
     assert stepwise.snapshot_partition() == base.snapshot_partition()
 
 
@@ -316,7 +314,7 @@ def _parts_by_id(ref: Refinement) -> dict[int, tuple[int, ...]]:
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 10_000),
-    st.sampled_from([("nfa", "off"), ("dfa", "keep-first"), ("dfa", "keep-last")]),
+    st.sampled_from([("nfa", "off"), ("dfa", "keep-first")]),
     st.sampled_from(["ascending", "descending"]),
 )
 def test_records_and_created_parts_at_larger_sizes(seed, kind_mode, order):
@@ -330,9 +328,9 @@ def test_records_and_created_parts_at_larger_sizes(seed, kind_mode, order):
         a = gen_random_nfa(n, sigma, seed, m=rng.randint(n - 1, min(4 * (n - 1), n * (n - 1))))
     else:
         a = gen_random_dfa(n, sigma, seed)
-    ref = init_refinement(a, order)
+    ref = init_refinement(a, order, prune=PRUNE[mode])
     before = _parts_by_id(ref)
-    while (rep := ref.step(mode)) is not None:
+    while (rep := ref.step()) is not None:
         ref.check_invariants()
         after = _parts_by_id(ref)
         created = dict(rep.created_parts)
@@ -368,7 +366,7 @@ FAMILIES = ["nfa", "dfa", "wheeler", "sturmian"]
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
-@pytest.mark.parametrize("mode", sorted(PRUNE_MODES))
+@pytest.mark.parametrize("mode", sorted(PRUNE))
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_stepping_matches_one_run_full_call(kind, mode, order):
     """After each step of a stepped run (select_splitter, then
@@ -378,12 +376,11 @@ def test_stepping_matches_one_run_full_call(kind, mode, order):
     written back, and a pending splitter resumes where it stopped."""
     for seed in range(4):
         a = _family(kind, random.Random(seed).randint(5, 40), seed)
-        stepped = init_refinement(a, order)
+        stepped = init_refinement(a, order, prune=PRUNE[mode])
         for k in range(1, a.n + 2):
-            more = stepped.step(mode) is not None
-            one = init_refinement(a, order)
-            one._fix_prune_mode(mode)
-            K.run_full(one._kregs, one._st, PRUNE_MODES[mode], k, 0)
+            more = stepped.step() is not None
+            one = init_refinement(a, order, prune=PRUNE[mode])
+            K.run_full(one._kregs, one._st, int(one.prune), k, 0)
             assert np.array_equal(stepped.regs, one.regs), k
             for f in K.Engine._fields:
                 assert np.array_equal(getattr(stepped, f), getattr(one, f)), (k, f)
@@ -485,7 +482,7 @@ def test_record_capacity_breach_in_either_round(threshold, monkeypatch):
     assert ref.regs[K.R_STATUS] == K.STATUS_RECORD_CAP
 
 
-@pytest.mark.parametrize("numba,mode", [(True, "off"), (False, "keep-first"), (False, "keep-last")])
+@pytest.mark.parametrize("numba,mode", [(True, "off"), (False, "keep-first")])
 def test_compiled_and_pruning_runs_make_one_run_full_call(numba, mode, monkeypatch):
     """Only the pure-Python backend without pruning hands splitters back."""
     monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", 1)
@@ -493,16 +490,16 @@ def test_compiled_and_pruning_runs_make_one_run_full_call(numba, mode, monkeypat
     calls = []
     run_full = K.run_full
 
-    def counted(regs, st, prune_mode, max_rounds, big_load):
+    def counted(regs, st, prune, max_rounds, big_load):
         calls.append(big_load)
-        run_full(regs, st, prune_mode, max_rounds, big_load)
+        run_full(regs, st, prune, max_rounds, big_load)
 
     monkeypatch.setattr(K, "run_full", counted)
     a = gen_random_dfa(60, 3, 5)
-    ref = init_refinement(a)
-    run_refinement(ref, mode)
+    ref = init_refinement(a, prune=PRUNE[mode])
+    run_refinement(ref)
     assert calls == [0] and ref.rounds > 1
-    kernel = init_refinement(a)
-    kernel.run_to_completion(mode)
+    kernel = init_refinement(a, prune=PRUNE[mode])
+    kernel.run_to_completion()
     assert ref.snapshot_partition() == kernel.snapshot_partition()
     assert ref.deleted_edge_ids() == kernel.deleted_edge_ids()

@@ -89,7 +89,7 @@ def test_pruned_partition_equals_plain_run_on_kept_automaton():
         for d, order in (("inf", "ascending"), ("sup", "descending")):
             p = refine_with_pruning(a, d)
             rerun = init_refinement(p.kept_automaton(), order)
-            run_refinement(rerun, "off")
+            run_refinement(rerun)
             assert p.partition == rerun.snapshot_partition(), (seed, d)
 
 
@@ -105,10 +105,10 @@ def test_deletions_come_from_one_trailing_x_part():
         n = rng.randint(2, 14)
         a = gen_random_dfa(n, rng.randint(1, min(3, n - 1)), seed)
         for order in ("ascending", "descending"):
-            ref = init_refinement(a, order)
+            ref = init_refinement(a, order, prune=True)
             deleted: dict[int, list[int]] = {v: [] for v in range(n)}
             while not ref.done:
-                rep = ref.step("keep-first")
+                rep = ref.step()
                 per_target: dict[int, set[int]] = {}
                 for s, t, _ in rep.deleted_edges:
                     per_target.setdefault(t, set()).add(_x_position(ref, s))
