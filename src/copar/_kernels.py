@@ -24,13 +24,11 @@ input (n = 12 000, 11 931 rounds, 2 cores, CPython 3.11). Only _prune_d11
 which serves partition.py) stay calls.
 
 Register layout (indices into regs), every register read or written here:
-  counters:  NPARTS, NX, HSIZE, GEN, NREC, FREETOP, ROUNDS, MAXSPLIT, NDEL,
-             NCREATED, NCOMP
+  counters:  NPARTS, NX, HSIZE, GEN, NREC, FREETOP, ROUNDS, MAXSPLIT, NCOMP
   per-round: NXS, N12, N11 (reached states, D_12, D_11); SPART, BPART,
              BFIRST (the splitter's X-part, -1 when none is pending, B, and
-             whether B was first); SLO, SHI (the X-part's span, read by
-             Refinement.select_splitter)
-  fixed:     KMOD (heap key modulus), STATUS (0 ok, nonzero = internal error)
+             whether B was first)
+  fixed:     STATUS (0 ok, nonzero = internal error)
 """
 
 from __future__ import annotations
@@ -72,11 +70,11 @@ Engine = namedtuple(
     "Engine",
     "heap xbeg xend xcnt xof elems pos partof pbeg pend"
     " esrc edst out_ptr out_len out_lst out_pos in_ptr in_len in_lst in_pos"
-    " cnt_ref cnt_val free_stk binb_gen splitcnt seen_gen"
-    " xs d12 d11 xrec moved_cnt touched created deleted",
+    " cnt_ref cnt_val free_stk splitcnt seen_gen"
+    " xs d12 d11 xrec moved_cnt touched",
 )
 
-NREGS = 21
+NREGS = 16
 (
     R_NPARTS,
     R_NX,
@@ -86,8 +84,6 @@ NREGS = 21
     R_FREETOP,
     R_ROUNDS,
     R_MAXSPLIT,
-    R_NDEL,
-    R_NCREATED,
     R_NCOMP,
     R_NXS,
     R_N12,
@@ -95,9 +91,6 @@ NREGS = 21
     R_SPART,
     R_BPART,
     R_BFIRST,
-    R_SLO,
-    R_SHI,
-    R_KMOD,
     R_STATUS,
 ) = range(NREGS)
 
@@ -139,21 +132,23 @@ def _heap_push(heap, regs, key):
 
 
 @njit(cache=True)
-def _prune_d11(regs, st, bfirst, g, s, ftop, n11):
+def _prune_d11(st, bfirst, b, s, ftop, n11):
     """Delete the losing side's in-edges of every D_11 state; returns the
     new free-stack top.
 
-    Pruning keeps the side that comes first in the part order. bfirst is 1
-    when that is B's side, so the losing edges come from the remainder of
-    the old splitter s (not marked g, source in X-part s), and 0 when they
-    come from B' (marked g). Deleted edges are unlinked from both adjacency
-    lists (swap-remove) and their count record is decremented on the spot.
+    Pruning keeps the side that comes first in the part order. It runs
+    before the round moves any state, so B is still the one part b, and B
+    already has its own X id. bfirst is 1 when B's side is kept, so the
+    losing edges come from the remainder of the old splitter (source in
+    X-part s), and 0 when they come from B' (source in part b). Deleted
+    edges are swap-removed past the live ends of both adjacency lists, where
+    Refinement finds them, and their count record is decremented on the
+    spot.
     """
     (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
      esrc, edst, out_ptr, out_len, out_lst, out_pos, in_ptr, in_len, in_lst, in_pos,
-     cnt_ref, cnt_val, free_stk, binb_gen, splitcnt, seen_gen,
-     xs, d12, d11, xrec, moved_cnt, touched, created, deleted) = st
-    ndel = regs[R_NDEL]
+     cnt_ref, cnt_val, free_stk, splitcnt, seen_gen,
+     xs, d12, d11, xrec, moved_cnt, touched) = st
     for i in range(n11):
         x = d11[i]
         base = in_ptr[x]
@@ -162,9 +157,9 @@ def _prune_d11(regs, st, bfirst, g, s, ftop, n11):
             e = in_lst[base + j]
             y = esrc[e]
             if bfirst == 1:
-                doomed = binb_gen[y] != g and xof[partof[y]] == s
+                doomed = xof[partof[y]] == s
             else:
-                doomed = binb_gen[y] == g
+                doomed = partof[y] == b
             if doomed:
                 r = cnt_ref[e]
                 cnt_val[r] -= 1
@@ -186,11 +181,8 @@ def _prune_d11(regs, st, bfirst, g, s, ftop, n11):
                 in_lst[ilast] = e
                 in_pos[e] = ilast
                 in_len[x] -= 1
-                deleted[ndel] = e
-                ndel += 1
             else:
                 j += 1
-    regs[R_NDEL] = ndel
     return ftop
 
 
@@ -200,11 +192,12 @@ def run_full(regs, st, prune, max_rounds, big_load):
     max_rounds.
 
     The heap holds each compound X-part exactly once, keyed by its begin
-    (xbeg * KMOD + id), so its root is the leftmost one, S. A round carves
-    the smaller of S's end parts as B (ties go to the first), and B takes a
-    fresh X id. The root is updated in place: popped when the remainder of
-    S is simple, its key sifted down when B was first (S's begin moved),
-    and left as it is when B was last. With big_load > 0 a splitter whose
+    (xbeg * xcap + id, where xcap = xbeg.shape[0] exceeds every X id), so
+    its root is the leftmost one, S. A round carves the smaller of S's end
+    parts as B (ties go to the first), and B takes a fresh X id. The root
+    is updated in place: popped when the remainder of S is simple, its key
+    sifted down when B was first (S's begin moved), and left as it is when
+    B was last. With big_load > 0 a splitter whose
     load (|B| plus the out-degrees of its states, summed only until it
     reaches big_load) reaches big_load is handed back pending: run_full
     returns with SPART >= 0 and the caller splits against it
@@ -247,20 +240,20 @@ def run_full(regs, st, prune, max_rounds, big_load):
     """
     (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
      esrc, edst, out_ptr, out_len, out_lst, out_pos, in_ptr, in_len, in_lst, in_pos,
-     cnt_ref, cnt_val, free_stk, binb_gen, splitcnt, seen_gen,
-     xs, d12, d11, xrec, moved_cnt, touched, created, deleted) = st
-    kmod, hcap, xcap = regs[R_KMOD], heap.shape[0], xbeg.shape[0]
+     cnt_ref, cnt_val, free_stk, splitcnt, seen_gen,
+     xs, d12, d11, xrec, moved_cnt, touched) = st
+    hcap, xcap = heap.shape[0], xbeg.shape[0]
     pcap, rcap = pbeg.shape[0], cnt_val.shape[0]
     gen, ftop, nrec, hsize = regs[R_GEN], regs[R_FREETOP], regs[R_NREC], regs[R_HSIZE]
-    nx, nparts, ncomp, ncreated = regs[R_NX], regs[R_NPARTS], regs[R_NCOMP], regs[R_NCREATED]
+    nx, nparts, ncomp = regs[R_NX], regs[R_NPARTS], regs[R_NCOMP]
     rounds, maxsplit, status = regs[R_ROUNDS], regs[R_MAXSPLIT], regs[R_STATUS]
-    s, b, bfirst, slo, shi = regs[R_SPART], regs[R_BPART], regs[R_BFIRST], regs[R_SLO], regs[R_SHI]
+    s, b, bfirst = regs[R_SPART], regs[R_BPART], regs[R_BFIRST]
     nxs, n12, n11 = regs[R_NXS], regs[R_N12], regs[R_N11]
     while status == STATUS_OK and rounds < max_rounds:
         if s < 0:
             if hsize == 0:
                 break
-            s = heap[0] % kmod
+            s = heap[0] % xcap
             slo = xbeg[s]
             shi = xend[s]
             b = partof[elems[slo]]
@@ -289,7 +282,7 @@ def run_full(regs, st, prune, max_rounds, big_load):
                 hsize -= 1
                 key = heap[hsize]
             elif bfirst == 1:
-                key = pend[b] * kmod + s
+                key = pend[b] * xcap + s
             if bfirst == 1:
                 xbeg[s] = pend[b]
             else:
@@ -318,7 +311,6 @@ def run_full(regs, st, prune, max_rounds, big_load):
         nxs = 0
         for i in range(pbeg[b], pend[b]):
             y = elems[i]
-            binb_gen[y] = gen
             c = splitcnt[y] + 1
             splitcnt[y] = c
             if c > maxsplit:
@@ -383,7 +375,7 @@ def run_full(regs, st, prune, max_rounds, big_load):
                 move = xs
                 nmove = nxs
             if n11 > 0:
-                ftop = _prune_d11(regs, st, bfirst, gen, s, ftop, n11)
+                ftop = _prune_d11(st, bfirst, b, s, ftop, n11)
         for ps in range(2):
             if ps == 1:
                 if prune == 1 or status != STATUS_OK:
@@ -444,15 +436,13 @@ def run_full(regs, st, prune, max_rounds, big_load):
                     if hsize >= hcap:
                         status = STATUS_HEAP_CAP
                         break
-                    _sift_up(heap, hsize, xbeg[xp] * kmod + xp)
+                    _sift_up(heap, hsize, xbeg[xp] * xcap + xp)
                     hsize += 1
                     ncomp += 1
-                created[ncreated] = q
-                ncreated += 1
         rounds += 1
         s = -1
     regs[R_GEN], regs[R_FREETOP], regs[R_NREC], regs[R_HSIZE] = gen, ftop, nrec, hsize
-    regs[R_NX], regs[R_NPARTS], regs[R_NCOMP], regs[R_NCREATED] = nx, nparts, ncomp, ncreated
+    regs[R_NX], regs[R_NPARTS], regs[R_NCOMP] = nx, nparts, ncomp
     regs[R_ROUNDS], regs[R_MAXSPLIT], regs[R_STATUS] = rounds, maxsplit, status
-    regs[R_SPART], regs[R_BPART], regs[R_BFIRST], regs[R_SLO], regs[R_SHI] = s, b, bfirst, slo, shi
+    regs[R_SPART], regs[R_BPART], regs[R_BFIRST] = s, b, bfirst
     regs[R_NXS], regs[R_N12], regs[R_N11] = nxs, n12, n11

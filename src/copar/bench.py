@@ -38,6 +38,8 @@ def bench_scaling(
     sizes: list[int], trials: int = 3, ops: tuple[str, ...] = OPS, seed: int = 1729
 ) -> list[BenchRow]:
     """Median engine time per (size, op), plus the splitter-count bound hit."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rows = []
     for op in ops:
         for n in sizes:

@@ -4,12 +4,12 @@ A Refinement holds the whole engine state as flat arrays: the state sequence
 (elems/pos/partof), contiguous part and X-part spans, per-(state, X-part)
 count records with per-edge record pointers, mutable adjacency in CSR form
 with swap-remove deletion, and a min-heap that holds each compound X-part
-exactly once, keyed by its begin; a round updates its root in place. Seven
-more arrays of n serve the rounds: the round marks of the splitter and of
-the reached states, the splitter counts, the reached states and their D_12
-and D_11 split, and each reached state's new count record. A round reads
-the splitter straight from its span of the state sequence, walks its
-out-edges once and moves each reached state once. Refinement packs kernel
+exactly once, keyed by its begin; a round updates its root in place. Six
+more arrays of n serve the rounds: the round marks of the reached states,
+the splitter counts, the reached states and their D_12 and D_11 split, and
+each reached state's new count record. A round reads the splitter straight
+from its span of the state sequence, walks its out-edges once and moves
+each reached state once. Refinement packs kernel
 views of these arrays into one copar._kernels.Engine record for the one
 kernel, run_full, which runs every kernel round: to the fixpoint for
 run_refinement, and one selection or one round per call for
@@ -22,9 +22,9 @@ that leaves a state alone in its part marks it (seen_gen =
 _kernels.ALONE), and every later round skips the edges into it, so its
 count records go stale: a pruning round must still find a D_11
 singleton's records exact, so pruning runs mark nothing. Only a pruning
-refinement builds the arrays that edge deletion updates (in_lst, in_pos,
-out_pos and the deletion log, deleted); a plain one holds 1-element
-placeholders.
+refinement builds the arrays that edge deletion updates (in_lst, in_pos
+and out_pos); a plain one holds 1-element placeholders. There is no
+deletion log: a deleted edge sits past its target's live end in in_lst.
 
 A round runs in one of two modes. The kernel round walks B's out-edges one
 at a time: compiled with numba, else as plain Python at about 1 us an edge.
@@ -67,7 +67,8 @@ class SplitterChoice:
 
 @dataclass(frozen=True)
 class SplitReport:
-    """Outcome of one split: parts created (id, members) and edges deleted."""
+    """Outcome of one split: parts created (id, members) and edges deleted,
+    (from, to, letter) in ascending edge id."""
 
     splitter: SplitterChoice
     created_parts: tuple[tuple[int, tuple[int, ...]], ...]
@@ -105,7 +106,7 @@ class Refinement:
         xcap = n + 2
         rcap = m + n + 2
         hcap = n // 2 + 2  # each compound X-part once, and each has two states
-        self.kmod = n + 2
+        self.kmod = xcap  # the heap key modulus, as in run_full
 
         self.elems, new = sorted_runs(key)
         self.pos = np.empty(n, dtype=np.int64)
@@ -137,9 +138,8 @@ class Refinement:
             self.in_pos[self.in_lst] = np.arange(m, dtype=np.int64)
             self.out_pos = np.empty(m, dtype=np.int64)
             self.out_pos[self.out_lst] = np.arange(m, dtype=np.int64)
-            self.deleted = np.zeros(max(m, 1), dtype=np.int64)
         else:  # only pruning deletes edges; the kernels never read these
-            self.in_lst = self.in_pos = self.out_pos = self.deleted = np.zeros(1, dtype=np.int64)
+            self.in_lst = self.in_pos = self.out_pos = np.zeros(1, dtype=np.int64)
 
         self.cnt_val = np.zeros(rcap, dtype=np.int64)
         self.cnt_val[:n] = self.in_len
@@ -147,7 +147,6 @@ class Refinement:
         self.free_stk = np.zeros(rcap, dtype=np.int64)
 
         self.heap = np.zeros(hcap, dtype=np.int64)
-        self.binb_gen = np.zeros(n, dtype=np.int64)
         self.splitcnt = np.zeros(n, dtype=np.int64)
         self.seen_gen = np.zeros(n, dtype=np.int64)
         self.xs = np.zeros(n, dtype=np.int64)
@@ -156,13 +155,11 @@ class Refinement:
         self.xrec = np.zeros(n, dtype=np.int64)
         self.moved_cnt = np.zeros(pcap, dtype=np.int64)
         self.touched = np.zeros(pcap, dtype=np.int64)
-        self.created = np.zeros(pcap, dtype=np.int64)
 
         regs = np.zeros(K.NREGS, dtype=np.int64)
         regs[K.R_NPARTS] = nparts
         regs[K.R_NX] = 1
         regs[K.R_NREC] = n
-        regs[K.R_KMOD] = self.kmod
         regs[K.R_SPART] = -1  # no splitter pending
         self.regs = regs
         if nparts >= 2:
@@ -210,13 +207,14 @@ class Refinement:
 
     def _pending_choice(self) -> SplitterChoice:
         """The splitter select_splitter left pending in the registers."""
-        r = self.regs
-        b = int(r[K.R_BPART])
+        s, b, first = (int(v) for v in self.regs[[K.R_SPART, K.R_BPART, K.R_BFIRST]])
+        # the carve moved S's begin past B when B was first, else its end
+        span = (self.pbeg[b], self.xend[s]) if first else (self.xbeg[s], self.pend[b])
         return SplitterChoice(
-            x_span=(int(r[K.R_SLO]), int(r[K.R_SHI])),
+            x_span=(int(span[0]), int(span[1])),
             part=b,
             members=tuple(int(v) for v in self.elems[self.pbeg[b] : self.pend[b]]),
-            b_is_first=bool(r[K.R_BFIRST]),
+            b_is_first=bool(first),
         )
 
     def three_way_split(self, choice: SplitterChoice) -> SplitReport:
@@ -225,26 +223,29 @@ class Refinement:
         Piece order is (D_12, D_11, rest) when B was first and the mirror
         when B was last; with pruning the D_11 states first lose their
         in-edges from the later side, collapsing the split to two pieces.
-        Returns the parts created and the edges deleted.
+        Returns the parts created, which take the ids from NPARTS on, and
+        the edges deleted, which leave the live ends of the D_11 states.
         """
         r = self.regs
         if r[K.R_SPART] < 0:
             raise RuntimeError("call select_splitter before three_way_split")
         if choice != self._pending_choice():
             raise ValueError("choice does not match the pending splitter")
-        ncreated0 = int(r[K.R_NCREATED])
-        ndel0 = int(r[K.R_NDEL])
+        nparts0 = int(r[K.R_NPARTS])
+        in_len0 = self.in_len.copy()
         K.run_full(self._kregs, self._st, int(self.prune), self.rounds + 1, 0)
         self._raise_status()
-        created = []
-        for q in (int(v) for v in self.created[ncreated0 : int(r[K.R_NCREATED])]):
-            members = tuple(int(v) for v in np.sort(self.elems[self.pbeg[q] : self.pend[q]]))
-            created.append((q, members))
-        deleted = []
+        created = tuple(
+            (q, tuple(np.sort(self.elems[self.pbeg[q] : self.pend[q]]).tolist()))
+            for q in range(nparts0, int(r[K.R_NPARTS]))
+        )
+        ids = []
+        for x in self.d11[: int(r[K.R_N11])] if self.prune else ():
+            base = self.in_ptr[x]
+            ids += self.in_lst[base + self.in_len[x] : base + in_len0[x]].tolist()
         a = self.automaton
-        for e in (int(v) for v in self.deleted[ndel0 : int(r[K.R_NDEL])]):
-            deleted.append((int(a.esrc[e]), int(a.edst[e]), int(a.elab[e])))
-        return SplitReport(choice, tuple(created), tuple(deleted))
+        deleted = tuple((int(a.esrc[e]), int(a.edst[e]), int(a.elab[e])) for e in sorted(ids))
+        return SplitReport(choice, created, deleted)
 
     def step(self) -> SplitReport | None:
         """select_splitter plus three_way_split; None once refinement is done."""
@@ -275,12 +276,18 @@ class Refinement:
             raise ValueError(f"state {v} out of range")
         if not self.prune:  # every edge is alive
             return np.flatnonzero(self.edst == v).tolist()
-        base = int(self.in_ptr[v])
-        return [int(self.in_lst[base + j]) for j in range(int(self.in_len[v]))]
+        return self.in_lst[self.in_ptr[v] : self.in_ptr[v] + self.in_len[v]].tolist()
 
     def deleted_edge_ids(self) -> list[int]:
-        """Edge ids deleted by pruning so far, in deletion order."""
-        return [int(e) for e in self.deleted[: int(self.regs[K.R_NDEL])]]
+        """Edge ids deleted by pruning so far, ascending."""
+        return np.sort(self.in_lst[~self.live_in_slots()]).tolist() if self.prune else []
+
+    def live_in_slots(self) -> np.ndarray:
+        """Under pruning, which slots of in_lst hold a live edge: those
+        before their target's live end, where swap-remove leaves none of the
+        deleted edges."""
+        owner = self.edst[self.in_lst]
+        return np.arange(self.m) - self.in_ptr[owner] < self.in_len[owner]
 
     def _raise_status(self) -> None:
         status = int(self.regs[K.R_STATUS])
@@ -343,6 +350,9 @@ class Refinement:
             for u in range(n)
             for j in range(int(self.out_len[u]))
         ), "in and out adjacency disagree on live edges"
+        if self.prune:
+            dead = self.deleted_edge_ids()
+            assert sorted(live + dead) == list(range(self.m)), "live and deleted edges do not partition 0..m-1"
         # rounds skip marked states, so only the others keep exact records
         counted = [e for e in live if int(self.edst[e]) not in alone]
         expected: dict[tuple[int, int], int] = {}
@@ -465,7 +475,6 @@ def _numpy_round(ref: Refinement) -> None:
     nxs = 0
     for s0 in range(int(ref.pbeg[b]), int(ref.pend[b]), blk):
         ys = elems[s0 : min(s0 + blk, int(ref.pend[b]))]
-        ref.binb_gen[ys] = g
         ref.splitcnt[ys] += 1
         maxsplit = max(maxsplit, int(ref.splitcnt[ys].max()))
         for _, j in _spans(ref.out_ptr[ys], ref.out_len[ys], blk):
@@ -603,6 +612,3 @@ def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
         for x in compound:
             K._heap_push(ref._st.heap, ref._kregs, int(ref.xbeg[x]) * ref.kmod + x)
         r[K.R_NCOMP] += len(compound)
-        nc = int(r[K.R_NCREATED])
-        ref.created[nc : nc + sp.size] = q
-        r[K.R_NCREATED] = nc + sp.size

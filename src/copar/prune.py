@@ -95,14 +95,14 @@ def refine_with_pruning(a: Automaton, direction: str, *, checked: bool = False) 
 
 def _assemble(a: Automaton, direction: str, ref: Refinement) -> PrunedAutomaton:
     n = a.n
-    lens, bases = ref.in_len[:n], ref.in_ptr[:n]
+    lens = ref.in_len
     empty = np.flatnonzero((lens == 0) & (np.arange(n) != a.source))
     if empty.size:
         raise RuntimeError(f"pruning removed every in-edge of state {int(empty[0])}")
-    total = int(lens.sum())
+    # in_lst holds each state's in-edges in turn, live ones first
+    alive = ref.live_in_slots()
+    live = ref.in_lst[alive]
     starts = np.cumsum(lens) - lens
-    idx = np.repeat(bases - starts, lens) + np.arange(total, dtype=np.int64)
-    live = ref.in_lst[idx]
     kept = np.full(n, -1, dtype=np.int64)
     nz = np.flatnonzero(lens)
     if nz.size:
@@ -116,7 +116,7 @@ def _assemble(a: Automaton, direction: str, ref: Refinement) -> PrunedAutomaton:
         rounds=ref.rounds,
         max_splitter_count=ref.max_splitter_count,
         _surviving_ids=np.sort(live),
-        _deleted_ids=np.array(ref.deleted_edge_ids(), dtype=np.int64),
+        _deleted_ids=np.sort(ref.in_lst[~alive]),
     )
 
 

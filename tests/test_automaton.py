@@ -314,6 +314,44 @@ def test_order_format_round_trip():
         parse_order("ORDER 3\n0 1 1\n")
 
 
+@st.composite
+def order_texts(draw):
+    """ORDPART and ORDER texts that are mostly well formed, with stray header
+    words, colons, dashes, comments, odd line breaks, signs, overlong digit
+    runs and non-ASCII digits mixed in."""
+    ordpart = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    perm = [str(v) for v in draw(st.permutations(range(n)))]
+    bounds = [0, *sorted(draw(st.sets(st.integers(1, n), max_size=3))), n]
+    rows = [perm[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if ordpart:
+        rows = [[f"{i}:", *row] for i, row in enumerate(rows)]
+    rows.insert(0, ["ORDPART" if ordpart else "ORDER", str(len(rows) if ordpart else n)])
+    noise = ["ORDPART", "ORDER", ":", "0:", "-", "-1", "+1", "#", "1" * 25, "7" * 5000, "\u0663", "\uff11"]
+    lines = []
+    for row in rows:
+        fields = [draw(st.sampled_from(noise)) if draw(st.integers(0, 15)) == 0 else f for f in row]
+        lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(fields))
+        lines.extend(draw(st.lists(st.sampled_from(["", " ", "# note", "ORDER 2", "0: 0"]), max_size=1)))
+    breaks = ["\n"] * 12 + ["\r\n", "\r", "\x0b", "\x0c", ":", "-"]
+    return "".join(ln + draw(st.sampled_from(breaks)) for ln in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_texts())
+def test_order_parsers_give_a_value_or_a_parse_error(text):
+    try:
+        p = parse_ordered_partition(text)
+        assert p.n >= 1 and p.parts
+    except ParseError:
+        pass
+    try:
+        order = parse_order(text)
+        assert sorted(order) == list(range(len(order)))
+    except ParseError:
+        pass
+
+
 def test_class_array_matches_parts():
     p = OrderedPartition([[1, 3], [0], [2]])
     assert p.as_class_array().tolist() == [1, 0, 2, 0]

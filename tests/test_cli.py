@@ -121,6 +121,12 @@ def test_bench_csv(capsys):
     assert seen == {("64", "sort"), ("128", "sort"), ("64", "prune"), ("128", "prune")}
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_bench_rejects_fewer_than_one_trial(trials, capsys):
+    assert cli.main(["bench", "--sizes", "4", "--trials", trials]) == 1
+    assert capsys.readouterr().err == "error: trials must be >= 1\n"
+
+
 def test_exit_code_3_on_parse_and_io_errors(tmp_path, capsys):
     bad = tmp_path / "bad.nfa"
     bad.write_text("DFA 3 0 0 1\n")

@@ -102,7 +102,7 @@ def test_only_a_pruning_refinement_builds_the_deletion_arrays():
     a = gen_random_dfa(20, 2, 4)
     plain = init_refinement(a)
     pruning = init_refinement(a, prune=True)
-    for f in ("in_lst", "in_pos", "out_pos", "deleted"):
+    for f in ("in_lst", "in_pos", "out_pos"):
         assert getattr(plain, f).size == 1, f
         assert getattr(pruning, f).size == a.m, f
     for v in range(a.n):
@@ -448,11 +448,11 @@ def test_numpy_round_leaves_the_kernel_state(kind, blk, monkeypatch):
             want.three_way_split(choice)
             partition._numpy_round(got)
             assert np.array_equal(got.regs, want.regs)
-            for f in ("binb_gen", "splitcnt", "seen_gen", "partof", "pbeg", "pend", "xof",
+            for f in ("splitcnt", "seen_gen", "partof", "pbeg", "pend", "xof",
                       "xbeg", "xend", "xcnt", "heap", "moved_cnt"):
                 assert np.array_equal(getattr(got, f), getattr(want, f)), f
             r = got.regs
-            for f, reg in (("xs", K.R_NXS), ("d12", K.R_N12), ("d11", K.R_N11), ("created", K.R_NCREATED)):
+            for f, reg in (("xs", K.R_NXS), ("d12", K.R_N12), ("d11", K.R_N11)):
                 assert np.array_equal(getattr(got, f)[: r[reg]], getattr(want, f)[: r[reg]]), f
             assert _parts_by_id(got) == _parts_by_id(want)
             assert np.array_equal(got.pos[got.elems], np.arange(got.n))
