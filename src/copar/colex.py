@@ -12,12 +12,26 @@ count equals the order's width.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import os
+import pickle
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from copar.automaton import Automaton, sorted_runs
+from copar import prune
+from copar._kernels import HAVE_NUMBA
+from copar.automaton import Automaton, OrderedPartition, sorted_runs
 from copar.prune import PrunedAutomaton, refine_with_pruning, require_dfa
+
+# Fewest edges at which colex_order runs the sup pruning in a forked worker.
+# The worker's fork, result pipe and reaping cost about 3 ms, as much as one
+# pruning at m = 400. On a 2-vCPU x86-64 VM (pure-Python backend) both
+# prunings took the same time either way near m = 700 and 14% less with the
+# worker at m = 1000 (random DFAs, m = 2n, medians of 40). The break-even of
+# the numba backend, whose prunings are faster and whose worker would compile
+# its own kernels, is unmeasured, so there the prunings never fork.
+WORKER_MIN_EDGES = 1000
 
 
 @dataclass(frozen=True)
@@ -148,10 +162,22 @@ def colex_order(a: Automaton) -> ColexResult:
     Runs both prunings, ranks the 2n kept strings jointly, and covers the
     states with the minimum number of chains. Raises ValueError on
     nondeterministic input and ValidationError on unclean automata.
+
+    The sup pruning runs in a forked worker, alongside the inf pruning in
+    this process, when a.m >= WORKER_MIN_EDGES, the kernels run as plain
+    Python (not numba), os.fork exists, the process may run on two or more
+    CPUs, no other Python thread runs and refine_with_pruning is not wrapped
+    (a tracer's wrapper must see both calls). The CPU count is the affinity
+    mask's: a cgroup CPU quota is not seen, so under a one-CPU quota the
+    worker still runs and the two prunings take turns. The worker pickles
+    its result back over a pipe. Both pruning engines are then alive at
+    once, one per process, so the memory in use peaks near the automaton
+    plus two engines, while ru_maxrss reports the larger process alone. If
+    the worker fails in any way, the sup pruning runs again here, so errors
+    and outputs are those of the in-process path.
     """
     require_dfa(a)
-    inf_p = refine_with_pruning(a, "inf", checked=True)
-    sup_p = refine_with_pruning(a, "sup", checked=True)
+    inf_p, sup_p = _prunings(a)
     g = build_merged_graph(inf_p, sup_p)
     table = suffix_doubling_ranks(g)
     inf_rank = table.ranks[: a.n].copy()
@@ -169,6 +195,69 @@ def colex_order(a: Automaton) -> ColexResult:
         width=len(chains),
         rounds=table.rounds,
     )
+
+
+def _prunings(a: Automaton) -> tuple[PrunedAutomaton, PrunedAutomaton]:
+    """The inf and sup prunings of the DFA a, the sup one in a forked worker
+    when that pays; if the worker fails, the sup pruning runs again here."""
+    pays = (
+        a.m >= WORKER_MIN_EDGES
+        and not HAVE_NUMBA
+        and refine_with_pruning is prune.refine_with_pruning
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+    worker = _fork_sup_worker(a) if pays else None
+    if worker is None:
+        return refine_with_pruning(a, "inf", checked=True), refine_with_pruning(a, "sup", checked=True)
+    pid, r = worker
+    try:
+        with open(r, "rb") as fh:
+            inf_p = refine_with_pruning(a, "inf", checked=True)
+            data = fh.read()
+    except BaseException:
+        import signal  # only here: the import would add about 1 ms to every CLI run
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        return inf_p, refine_with_pruning(a, "sup", checked=True)
+    sup_p, members, starts = pickle.loads(data)
+    return inf_p, replace(sup_p, base=a, partition=OrderedPartition.from_arrays(members, starts))
+
+
+def _fork_sup_worker(a: Automaton) -> tuple[int, int] | None:
+    """Fork a worker that pickles the sup pruning of a into a pipe, and
+    return its pid and the pipe's read end; None if no process could start.
+
+    The worker writes nothing to stdout or stderr. It exits 0 once the
+    whole result is written, and 1 on any error, always through os._exit,
+    so it never flushes its copies of the parent's stdio buffers.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        p = refine_with_pruning(a, "sup", checked=True)
+        result = (replace(p, base=None, partition=None), p.partition.members, p.partition.starts)
+        with open(w, "wb") as fh:
+            pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def serialize_colex(res: ColexResult) -> str:
