@@ -11,7 +11,6 @@ count equals the order's width.
 
 from __future__ import annotations
 
-import bisect
 import os
 import pickle
 import threading
@@ -51,7 +50,7 @@ class MergedGraph:
 
 @dataclass(frozen=True)
 class RankTable:
-    """Dense ranks of the 2n merged nodes and the doubling rounds used."""
+    """Dense ranks of the 2n merged nodes and the doubling rounds run."""
 
     ranks: np.ndarray
     rounds: int
@@ -83,24 +82,30 @@ def suffix_doubling_ranks(g: MergedGraph, extra_rounds: int = 0) -> RankTable:
     Round zero ranks by in-letter alone; each round then compares twice as
     many trailing letters by pairing every node's rank with the rank at the
     end of its current hop and re-ranking densely. ceil(log2(2n)) rounds
-    saturate; extra_rounds adds verification rounds past that point.
+    saturate, but they stop after the first that adds no distinct rank: if
+    walks of length 2L split no class of length L, by Moore's argument no
+    longer walk does. extra_rounds = k > 0 runs all k + ceil(log2(2n)).
     """
-    m = int(g.letters.size)
-    rank = _dense_rank(g.letters)
+    if extra_rounds < 0:
+        raise ValueError(f"extra_rounds must be at least 0, got {extra_rounds}")
+    rank, classes = _dense_rank(g.letters)
     phik = g.phi.astype(np.int64)
-    total = (m - 1).bit_length() + extra_rounds
-    for _ in range(total):
-        rank = _dense_rank(rank, rank[phik])
+    rounds = 0
+    for rounds in range(1, (int(g.letters.size) - 1).bit_length() + extra_rounds + 1):
+        before = classes
+        rank, classes = _dense_rank(rank, rank[phik])
+        if classes == before and not extra_rounds:
+            break
         phik = phik[phik]
-    return RankTable(ranks=rank, rounds=total)
+    return RankTable(ranks=rank, rounds=rounds)
 
 
-def _dense_rank(*cols: np.ndarray) -> np.ndarray:
-    """Rank of each row among the distinct rows of cols: 0, 1, ... in sorted order."""
+def _dense_rank(*cols: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense rank of each row among the distinct rows of cols, and their number."""
     order, new = sorted_runs(*cols)
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
-    return rank
+    return rank, int(np.count_nonzero(new))
 
 
 def min_chain_partition(inf_rank: np.ndarray, sup_rank: np.ndarray) -> list[list[int]]:
@@ -108,27 +113,37 @@ def min_chain_partition(inf_rank: np.ndarray, sup_rank: np.ndarray) -> list[list
 
     States are swept in ascending (infRank, supRank, id) order; each goes to
     the chain whose tail has the greatest supRank still at most the state's
-    infRank, or starts a new chain when no tail qualifies. For interval
-    orders this sweep is optimal, so the chain count equals the width.
+    infRank, the newest on ties, or starts a new chain when no tail
+    qualifies; this is optimal for interval orders, so there are width
+    chains. infRank only rises, so the tails a rise frees have a greater
+    supRank than all free tails: the free tails form a stack in (supRank,
+    age) order, and the others wait in buckets keyed by supRank. Raises
+    ValueError if some infRank exceeds its supRank.
     """
+    inf_rank, sup_rank = np.asarray(inf_rank), np.asarray(sup_rank)
+    if np.any(inf_rank > sup_rank):
+        raise ValueError("every infRank must be at most its supRank")
     # lexsort is stable, so ties in both ranks keep id order
-    sweep = np.lexsort((sup_rank, inf_rank)).tolist()
-    infs, sups = np.asarray(inf_rank).tolist(), np.asarray(sup_rank).tolist()
+    sweep = np.lexsort((sup_rank, inf_rank))
+    infs, sups, sweep = inf_rank[sweep].tolist(), sup_rank[sweep].tolist(), sweep.tolist()
     chains: list[list[int]] = []
-    tail_sups: list[int] = []
-    tail_chain: list[int] = []
-    for v in sweep:
-        i = bisect.bisect_right(tail_sups, infs[v]) - 1
-        if i >= 0:
-            c = tail_chain.pop(i)
-            tail_sups.pop(i)
-            chains[c].append(v)
+    free: list[list[int]] = []  # chains whose tail's supRank is at most reached
+    waiting: dict[int, list[list[int]]] = {}
+    reached = infs[0] - 1 if infs else 0
+    for v, i, s in zip(sweep, infs, sups):
+        while reached < i:
+            reached += 1
+            free.extend(waiting.pop(reached, ()))
+        if free:
+            chain = free.pop()
+            chain.append(v)
         else:
-            c = len(chains)
-            chains.append([v])
-        j = bisect.bisect_right(tail_sups, sups[v])
-        tail_sups.insert(j, sups[v])
-        tail_chain.insert(j, c)
+            chain = [v]
+            chains.append(chain)
+        if s <= reached:
+            free.append(chain)
+        else:
+            waiting.setdefault(s, []).append(chain)
     return chains
 
 
