@@ -3,8 +3,7 @@
 run_full(regs, st, prune, max_rounds, big_load) selects a splitter,
 splits against it and loops, over flat int64 arrays plus a small register
 file (regs). Both callers drive it: partition.run_refinement runs it to the
-fixpoint, and the stepwise Refinement API runs it one selection or one
-round at a time (a splitter can be left pending in regs between calls).
+fixpoint, and Refinement.step runs one round per call.
 With numba installed the functions are njit-compiled (cached); without it
 the same code runs as plain Python over zero-copy memoryviews of the engine
 arrays (kernel_view), whose items read and write as plain ints, so
@@ -201,8 +200,8 @@ def run_full(regs, st, prune, max_rounds, big_load):
     load (|B| plus the out-degrees of its states, summed only until it
     reaches big_load) reaches big_load is handed back pending: run_full
     returns with SPART >= 0 and the caller splits against it
-    (Refinement.select_splitter passes 1, partition.run_refinement passes
-    NUMPY_ROUND_BLOCK on the pure-Python backend without pruning, else 0).
+    (partition.run_refinement passes NUMPY_ROUND_BLOCK on the pure-Python
+    backend without pruning, else 0).
     A pending splitter is split first on the next call; SPART is -1 when
     none is pending.
 

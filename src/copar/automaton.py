@@ -444,20 +444,23 @@ def validate(a: Automaton) -> list[Diagnostic]:
     if a.m:
         if bool(np.any(a.edst == a.source)):
             out.append(Diagnostic("source-in-edge", a.source, "source state has an in-edge"))
-        order, new = sorted_runs(a.edst, a.elab)
-        pair_dst, pair_lab = a.edst[order[new]], a.elab[order[new]]
-        # each state's distinct letters are one run of the sorted pairs
-        lo = np.flatnonzero(np.r_[True, pair_dst[1:] != pair_dst[:-1]])
-        hi = np.r_[lo[1:], pair_dst.size]
-        for i in np.flatnonzero(hi - lo > 1):
-            letters = ",".join(str(c) for c in pair_lab[lo[i] : hi[i]].tolist())
-            out.append(
-                Diagnostic(
-                    "in-label-conflict",
-                    int(pair_dst[lo[i]]),
-                    f"in-edges carry distinct letters {{{letters}}}",
+        # in_labels holds each state's smallest in-letter, and the engine
+        # reads it from the cache; only a conflict needs the pairs grouped
+        if bool(np.any(a.elab != a.in_labels()[a.edst])):
+            order, new = sorted_runs(a.edst, a.elab)
+            pair_dst, pair_lab = a.edst[order[new]], a.elab[order[new]]
+            # each state's distinct letters are one run of the sorted pairs
+            lo = np.flatnonzero(np.r_[True, pair_dst[1:] != pair_dst[:-1]])
+            hi = np.r_[lo[1:], pair_dst.size]
+            for i in np.flatnonzero(hi - lo > 1):
+                letters = ",".join(str(c) for c in pair_lab[lo[i] : hi[i]].tolist())
+                out.append(
+                    Diagnostic(
+                        "in-label-conflict",
+                        int(pair_dst[lo[i]]),
+                        f"in-edges carry distinct letters {{{letters}}}",
+                    )
                 )
-            )
     used = np.zeros(a.sigma, dtype=bool)
     used[a.elab] = True
     for c in np.flatnonzero(~used):

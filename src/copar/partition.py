@@ -12,8 +12,10 @@ from its span of the state sequence, walks its out-edges once and moves
 each reached state once. Refinement packs kernel
 views of these arrays into one copar._kernels.Engine record for the one
 kernel, run_full, which runs every kernel round: to the fixpoint for
-run_refinement, and one selection or one round per call for
-select_splitter and three_way_split (SPART marks the pending splitter).
+run_refinement, and one round per call for Refinement.step. A step returns
+only whether it ran, since the arrays hold the rest: its new parts take the
+ids from NPARTS on, its splitter is the newest X-part and its deleted edges
+join deleted_edge_ids().
 
 A refinement runs plain or pruning, as chosen when it is built: pruning
 deletes, from each contested state, its in-edges from the side of the
@@ -39,13 +41,11 @@ their rounds also delete edges and the pruned workloads have no large
 splitter. The numpy round works in blocks of at most NUMPY_ROUND_BLOCK
 edges or states: freed temporaries of a whole round's size stay in glibc's
 heap once the parse has raised its mmap threshold, and unblocked they
-raised the peak RSS of the wheeler-sort benchmark by 6-14%. The stepwise
-API always runs the kernel round.
+raised the peak RSS of the wheeler-sort benchmark by 6-14%.
+Refinement.step always runs the kernel round.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,26 +53,6 @@ from copar import _kernels as K
 from copar.automaton import Automaton, OrderedPartition, csr, sorted_runs
 
 DEBUG_SCAN_LIMIT = 200
-
-
-@dataclass(frozen=True)
-class SplitterChoice:
-    """A selected splitter: X-part span, its end part B and which end it was."""
-
-    x_span: tuple[int, int]
-    part: int
-    members: tuple[int, ...]
-    b_is_first: bool
-
-
-@dataclass(frozen=True)
-class SplitReport:
-    """Outcome of one split: parts created (id, members) and edges deleted,
-    (from, to, letter) in ascending edge id."""
-
-    splitter: SplitterChoice
-    created_parts: tuple[tuple[int, tuple[int, ...]], ...]
-    deleted_edges: tuple[tuple[int, int, int], ...]
 
 
 class Refinement:
@@ -106,7 +86,6 @@ class Refinement:
         xcap = n + 2
         rcap = m + n + 2
         hcap = n // 2 + 2  # each compound X-part once, and each has two states
-        self.kmod = xcap  # the heap key modulus, as in run_full
 
         self.elems, new = sorted_runs(key)
         self.pos = np.empty(n, dtype=np.int64)
@@ -163,7 +142,7 @@ class Refinement:
         regs[K.R_SPART] = -1  # no splitter pending
         self.regs = regs
         if nparts >= 2:
-            K._heap_push(self.heap, regs, 0 * self.kmod + 0)
+            K._heap_push(self.heap, regs, 0)  # X-part 0 at begin 0
             regs[K.R_NCOMP] = 1
         # The kernels take these views, never the arrays: the attributes
         # above stay numpy and see every write the kernels make.
@@ -187,78 +166,14 @@ class Refinement:
         """Largest number of times any single state served inside a splitter."""
         return int(self.regs[K.R_MAXSPLIT])
 
-    def select_splitter(self) -> SplitterChoice | None:
-        """Pop the first compound X-part, carve its smaller end part B, update X.
-
-        The smaller of the X-part's first and last parts becomes B (ties go
-        to the first); B is guaranteed to hold at most half of the X-part's
-        states. Returns None once the refinement is complete.
-        """
-        if self.regs[K.R_SPART] >= 0:
-            raise RuntimeError("previous splitter not yet consumed by three_way_split")
-        K.run_full(self._kregs, self._st, int(self.prune), self.rounds + 1, 1)
+    def step(self) -> bool:
+        """Run one kernel round and return True; once done, change nothing
+        and return False. A splitter a run_full call left pending is split
+        first."""
+        rounds = self.rounds
+        K.run_full(self._kregs, self._st, int(self.prune), rounds + 1, 0)
         self._raise_status()
-        if self.regs[K.R_SPART] < 0:
-            return None
-        choice = self._pending_choice()
-        lo, hi = choice.x_span
-        assert 2 * len(choice.members) <= hi - lo, "splitter exceeds half its X-part"
-        return choice
-
-    def _pending_choice(self) -> SplitterChoice:
-        """The splitter select_splitter left pending in the registers."""
-        s, b, first = (int(v) for v in self.regs[[K.R_SPART, K.R_BPART, K.R_BFIRST]])
-        # the carve moved S's begin past B when B was first, else its end
-        span = (self.pbeg[b], self.xend[s]) if first else (self.xbeg[s], self.pend[b])
-        return SplitterChoice(
-            x_span=(int(span[0]), int(span[1])),
-            part=b,
-            members=tuple(int(v) for v in self.elems[self.pbeg[b] : self.pend[b]]),
-            b_is_first=bool(first),
-        )
-
-    def three_way_split(self, choice: SplitterChoice) -> SplitReport:
-        """Split every part touched from B into up to three pieces.
-
-        Piece order is (D_12, D_11, rest) when B was first and the mirror
-        when B was last; with pruning the D_11 states first lose their
-        in-edges from the later side, collapsing the split to two pieces.
-        Returns the parts created, which take the ids from NPARTS on, and
-        the edges deleted, which leave the live ends of the D_11 states.
-        """
-        r = self.regs
-        if r[K.R_SPART] < 0:
-            raise RuntimeError("call select_splitter before three_way_split")
-        if choice != self._pending_choice():
-            raise ValueError("choice does not match the pending splitter")
-        nparts0 = int(r[K.R_NPARTS])
-        in_len0 = self.in_len.copy()
-        K.run_full(self._kregs, self._st, int(self.prune), self.rounds + 1, 0)
-        self._raise_status()
-        created = tuple(
-            (q, tuple(np.sort(self.elems[self.pbeg[q] : self.pend[q]]).tolist()))
-            for q in range(nparts0, int(r[K.R_NPARTS]))
-        )
-        ids = []
-        for x in self.d11[: int(r[K.R_N11])] if self.prune else ():
-            base = self.in_ptr[x]
-            ids += self.in_lst[base + self.in_len[x] : base + in_len0[x]].tolist()
-        a = self.automaton
-        deleted = tuple((int(a.esrc[e]), int(a.edst[e]), int(a.elab[e])) for e in sorted(ids))
-        return SplitReport(choice, created, deleted)
-
-    def step(self) -> SplitReport | None:
-        """select_splitter plus three_way_split; None once refinement is done."""
-        choice = self.select_splitter()
-        if choice is None:
-            return None
-        return self.three_way_split(choice)
-
-    def run_to_completion(self, debug: bool = False) -> None:
-        """Step until done, from Python (use run_refinement for large inputs)."""
-        while self.step() is not None:
-            if debug:
-                self.check_invariants()
+        return self.rounds > rounds
 
     def snapshot_partition(self) -> OrderedPartition:
         """The current partition, parts in positional order, ids sorted inside."""
@@ -337,7 +252,7 @@ class Refinement:
         heap = [int(k) for k in self.heap[: int(self.regs[K.R_HSIZE])]]
         assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap))), "heap order breached"
         assert sorted(heap) == sorted(
-            int(self.xbeg[x]) * self.kmod + x for x in alive_x if int(self.xcnt[x]) >= 2
+            int(self.xbeg[x]) * self.xbeg.shape[0] + x for x in alive_x if int(self.xcnt[x]) >= 2
         ), "the heap does not hold each compound X-part once under its begin"
         alone = {v for v in range(n) if int(self.seen_gen[v]) == K.ALONE}
         for v in alone:
@@ -410,8 +325,6 @@ def run_refinement(ref: Refinement) -> None:
     rounds; reaching n + 2 is reported as a round overrun.
     """
     r = ref.regs
-    if r[K.R_SPART] >= 0:
-        raise RuntimeError("cannot run to completion with a pending splitter")
     prune = int(ref.prune)
     big_load = NUMPY_ROUND_BLOCK if not prune and not K.HAVE_NUMBA else 0
     limit = ref.n + 2
@@ -610,5 +523,5 @@ def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
         compound = xp[ref.xcnt[xp] == 1].tolist()
         np.add.at(ref.xcnt, xp, 1)
         for x in compound:
-            K._heap_push(ref._st.heap, ref._kregs, int(ref.xbeg[x]) * ref.kmod + x)
+            K._heap_push(ref._st.heap, ref._kregs, int(ref.xbeg[x]) * ref.xbeg.shape[0] + x)
         r[K.R_NCOMP] += len(compound)

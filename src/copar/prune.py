@@ -25,7 +25,8 @@ class PrunedAutomaton:
 
     kept_src[v] is the source of v's kept in-edge (-1 for the source state);
     the in-letter of v is unchanged from the base automaton. partition is
-    the final ordered partition of the pruned run.
+    the final ordered partition of the pruned run; _alive[e] says whether
+    edge e survived it.
     """
 
     base: Automaton
@@ -34,21 +35,20 @@ class PrunedAutomaton:
     partition: OrderedPartition
     rounds: int
     max_splitter_count: int
-    _surviving_ids: np.ndarray = field(repr=False)
-    _deleted_ids: np.ndarray = field(repr=False)
+    _alive: np.ndarray = field(repr=False)
 
     def surviving_edges(self) -> list[tuple[int, int, int]]:
         """Edges never deleted by pruning, sorted."""
-        return _sorted_edge_list(self.base, self._surviving_ids)
+        return _sorted_edge_list(self.base, np.flatnonzero(self._alive))
 
     def deleted_edges(self) -> list[tuple[int, int, int]]:
         """Edges deleted by pruning, sorted."""
-        return _sorted_edge_list(self.base, self._deleted_ids)
+        return _sorted_edge_list(self.base, np.flatnonzero(~self._alive))
 
     def survivor_automaton(self) -> Automaton:
         """The base automaton restricted to the surviving edges."""
         a = self.base
-        ids = self._surviving_ids
+        ids = np.flatnonzero(self._alive)
         return Automaton(a.n, a.sigma, a.source, (a.esrc[ids], a.edst[ids], a.elab[ids]))
 
     def kept_automaton(self) -> Automaton:
@@ -108,6 +108,8 @@ def _assemble(a: Automaton, direction: str, ref: Refinement) -> PrunedAutomaton:
     if nz.size:
         kept[nz] = np.minimum.reduceat(a.esrc[live], starts[nz])
     kept[a.source] = -1
+    alive_edge = np.empty(a.m, dtype=bool)
+    alive_edge[ref.in_lst] = alive
     return PrunedAutomaton(
         base=a,
         direction=direction,
@@ -115,8 +117,7 @@ def _assemble(a: Automaton, direction: str, ref: Refinement) -> PrunedAutomaton:
         partition=ref.snapshot_partition(),
         rounds=ref.rounds,
         max_splitter_count=ref.max_splitter_count,
-        _surviving_ids=np.sort(live),
-        _deleted_ids=np.sort(ref.in_lst[~alive]),
+        _alive=alive_edge,
     )
 
 

@@ -63,15 +63,15 @@ def _first_missing(values: np.ndarray, k: int) -> int:
     return int(np.flatnonzero(~seen)[0])
 
 
-def refine_all(a: Automaton, letter_order: str = "ascending") -> OrderedPartition:
+def refine_all(a: Automaton) -> OrderedPartition:
     """Coarsest forward-stable refinement of the in-letter partition, ordered.
 
     Deterministic: identical inputs give identical outputs. The input must
-    pass validate(). letter_order picks the initial block order (ascending
-    puts the source block first, descending reverses the letter blocks).
+    pass validate(). The initial blocks put the source first, then the
+    states of each letter in ascending order.
     """
     require_clean(a)
-    ref = init_refinement(a, letter_order)
+    ref = init_refinement(a)
     run_refinement(ref)
     return ref.snapshot_partition()
 

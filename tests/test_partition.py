@@ -40,30 +40,100 @@ def test_init_rejects_in_label_conflicts():
         Refinement(conflicted, "descending")
 
 
+def _select(ref: Refinement) -> tuple[tuple[int, ...], bool, tuple[int, int]] | None:
+    """Select the next splitter and leave it pending, as run_full hands a
+    large one back: B's states, whether B was first and the span of its
+    X-part S before the carve; None once the refinement is done."""
+    K.run_full(ref._kregs, ref._st, int(ref.prune), ref.rounds + 1, 1)
+    ref._raise_status()
+    s, b, first = (int(v) for v in ref.regs[[K.R_SPART, K.R_BPART, K.R_BFIRST]])
+    if s < 0:
+        return None
+    # the carve moved S's begin past B when B was first, else its end
+    span = (ref.pbeg[b], ref.xend[s]) if first else (ref.xbeg[s], ref.pend[b])
+    members = tuple(int(v) for v in ref.elems[ref.pbeg[b] : ref.pend[b]])
+    return members, bool(first), (int(span[0]), int(span[1]))
+
+
+def _step_delta(ref: Refinement) -> tuple[dict[int, tuple[int, ...]], list[tuple[int, int, int]]] | None:
+    """One step and what it made, read from the engine: the new parts, ids
+    from NPARTS before the step on, each with its states sorted, and the
+    edges it deleted as (from, to, letter) by ascending id; None once done."""
+    nparts, dead = int(ref.regs[K.R_NPARTS]), set(ref.deleted_edge_ids())
+    if not ref.step():
+        return None
+    created = {
+        q: tuple(sorted(int(v) for v in ref.elems[ref.pbeg[q] : ref.pend[q]]))
+        for q in range(nparts, int(ref.regs[K.R_NPARTS]))
+    }
+    a = ref.automaton
+    new = [e for e in ref.deleted_edge_ids() if e not in dead]
+    return created, [(int(a.esrc[e]), int(a.edst[e]), int(a.elab[e])) for e in new]
+
+
+def _step_to_end(ref: Refinement) -> None:
+    while ref.step():
+        pass
+
+
 def test_stepwise_trace_quasi_fixture():
     ref = init_refinement(example_quasi_wheeler_nfa(), "ascending")
     assert ref.snapshot_partition().parts == [[0], [1, 2], [3, 4]]
     assert not ref.done
 
-    ch = ref.select_splitter()
-    assert (ch.members, ch.b_is_first, ch.x_span) == ((0,), True, (0, 5))
-    rep = ref.three_way_split(ch)
-    assert rep.created_parts == ((3, (3,)),)
-    assert rep.deleted_edges == ()
+    assert _select(ref) == ((0,), True, (0, 5))
+    assert _step_delta(ref) == ({3: (3,)}, [])
 
-    ch = ref.select_splitter()
-    assert (ch.members, ch.b_is_first) == ((4,), False)
-    assert ref.three_way_split(ch).created_parts == ()
+    assert _select(ref)[:2] == ((4,), False)
+    assert _step_delta(ref) == ({}, [])
 
-    ch = ref.select_splitter()
-    assert (ch.members, ch.b_is_first) == ((3,), False)
-    ref.three_way_split(ch)
+    assert _select(ref)[:2] == ((3,), False)
+    assert ref.step()
 
     assert ref.done
-    assert ref.select_splitter() is None
+    assert _select(ref) is None
+    assert not ref.step()
     assert ref.snapshot_partition().parts == [[0], [1, 2], [3], [4]]
     assert ref.rounds == 3
     assert ref.max_splitter_count == 1
+
+
+@pytest.mark.parametrize("mode", sorted(PRUNE))
+def test_step_when_done_changes_nothing(mode):
+    a = gen_random_dfa(30, 3, 2)
+    ref = init_refinement(a, prune=PRUNE[mode])
+    run_refinement(ref)
+    regs = ref.regs.copy()
+    arrays = {f: getattr(ref, f).copy() for f in K.Engine._fields}
+    assert ref.done and not ref.step()
+    assert np.array_equal(ref.regs, regs)
+    for f, want in arrays.items():
+        assert np.array_equal(getattr(ref, f), want), f
+
+
+@pytest.mark.parametrize("mode", sorted(PRUNE))
+def test_step_finishes_a_pending_round(mode):
+    """step() after _select splits the pending splitter, counting one
+    round, and leaves what a plain step() leaves; run_refinement also splits
+    it first."""
+    a = gen_random_dfa(30, 3, 2)
+    for k in range(3):
+        plain = init_refinement(a, prune=PRUNE[mode])
+        pending = init_refinement(a, prune=PRUNE[mode])
+        for _ in range(k):
+            plain.step()
+            pending.step()
+        assert _select(pending) is not None and pending.rounds == k
+        assert plain.step() and pending.step()
+        assert pending.rounds == k + 1 and pending.regs[K.R_SPART] == -1
+        assert np.array_equal(pending.regs, plain.regs)
+        for f in K.Engine._fields:
+            assert np.array_equal(getattr(pending, f), getattr(plain, f)), f
+        _select(pending)
+        run_refinement(pending)
+        run_refinement(plain)
+        assert pending.snapshot_partition() == plain.snapshot_partition()
+        assert pending.rounds == plain.rounds
 
 
 @pytest.mark.parametrize(
@@ -76,26 +146,11 @@ def test_stepwise_trace_quasi_fixture():
 def test_pruning_traces_loop_dfa(mode, order, expect_deleted, expect_parts):
     ref = init_refinement(example_loop_dfa(), order, prune=PRUNE[mode])
     deleted = []
-    while not ref.done:
-        deleted.extend(ref.step().deleted_edges)
+    while (delta := _step_delta(ref)) is not None:
+        deleted.extend(delta[1])
     assert deleted == expect_deleted
     assert ref.snapshot_partition().parts == expect_parts
     ref.check_invariants()
-
-
-def test_split_contract_errors():
-    ref = init_refinement(example_quasi_wheeler_nfa())
-    with pytest.raises(RuntimeError, match="select_splitter"):
-        ref.three_way_split(None)  # type: ignore[arg-type]
-    ch = ref.select_splitter()
-    with pytest.raises(RuntimeError, match="not yet consumed"):
-        ref.select_splitter()
-    wrong = ch.__class__(x_span=ch.x_span, part=ch.part, members=(9,), b_is_first=ch.b_is_first)
-    with pytest.raises(ValueError, match="pending"):
-        ref.three_way_split(wrong)
-    ref.three_way_split(ch)  # the real one still goes through
-    with pytest.raises(RuntimeError, match="pending"):
-        run_refinement(_with_pending(example_quasi_wheeler_nfa()))
 
 
 def test_only_a_pruning_refinement_builds_the_deletion_arrays():
@@ -132,13 +187,13 @@ def test_a_state_left_alone_is_skipped_when_reached_again():
     assert ref.seen_gen[1] == ref.seen_gen[3] == K.ALONE
     (e,) = ref.surviving_in_edges(3)
     record = (int(ref.cnt_ref[e]), int(ref.cnt_val[ref.cnt_ref[e]]))
-    ch = ref.select_splitter()
-    assert ch.members == (1,)
-    ref.three_way_split(ch)
+    assert _select(ref)[0] == (1,)
+    ref.step()
     assert (int(ref.cnt_ref[e]), int(ref.cnt_val[ref.cnt_ref[e]])) == record
     assert ref.regs[K.R_NXS] == 0
     ref.check_invariants()
-    ref.run_to_completion(debug=True)
+    while ref.step():
+        ref.check_invariants()
     assert ref.snapshot_partition().parts == [[0], [1], [3], [2]]
 
 
@@ -161,32 +216,14 @@ def test_invariant_scan_sees_a_bad_marker_or_heap():
         ref.check_invariants()
 
 
-def _with_pending(a: Automaton) -> Refinement:
-    ref = init_refinement(a)
-    ref.select_splitter()
-    return ref
-
-
-def test_created_parts_report_matches_snapshot_delta():
-    ref = init_refinement(example_quasi_wheeler_nfa())
-    before = {tuple(p) for p in ref.snapshot_partition().parts}
-    rep = ref.step()
-    after = {tuple(p) for p in ref.snapshot_partition().parts}
-    for _, members in rep.created_parts:
-        assert members in after and members not in before
-
-
 def test_splitter_members_never_exceed_half_of_span():
     for seed in range(25):
         a = gen_random_nfa(random.Random(seed).randint(2, 20), 2, seed)
         ref = init_refinement(a)
-        while True:
-            ch = ref.select_splitter()
-            if ch is None:
-                break
-            lo, hi = ch.x_span
-            assert 2 * len(ch.members) <= hi - lo
-            ref.three_way_split(ch)
+        while (choice := _select(ref)) is not None:
+            members, _, (lo, hi) = choice
+            assert 2 * len(members) <= hi - lo
+            ref.step()
 
 
 def test_run_is_deterministic():
@@ -263,7 +300,7 @@ def test_snapshot_matches_per_part_construction(seed, dfa, order, mode):
         snap = ref.snapshot_partition()
         assert snap.parts == _snapshot_by_parts(ref)
         assert snap == OrderedPartition(_snapshot_by_parts(ref))
-        if ref.step() is None:
+        if not ref.step():
             break
 
 
@@ -300,7 +337,7 @@ def test_kernel_views_match_numpy_arrays(seed, kind, mode, order):
     assert ref.snapshot_partition() == base.snapshot_partition()
     assert ref.deleted_edge_ids() == base.deleted_edge_ids()
     stepwise = init_refinement(a, order, prune=PRUNE[mode])
-    stepwise.run_to_completion()
+    _step_to_end(stepwise)
     assert stepwise.snapshot_partition() == base.snapshot_partition()
 
 
@@ -318,8 +355,9 @@ def _parts_by_id(ref: Refinement) -> dict[int, tuple[int, ...]]:
     st.sampled_from(["ascending", "descending"]),
 )
 def test_records_and_created_parts_at_larger_sizes(seed, kind_mode, order):
-    """Exact count records, no record shared by two groups, and created_parts
-    equal to the snapshot delta after every step, three-way splits included."""
+    """Exact count records, no record shared by two groups, and the parts
+    with ids from NPARTS before a step on equal to the snapshot delta after
+    every step, three-way splits included."""
     kind, mode = kind_mode
     rng = random.Random(seed)
     n = rng.randint(2, 60)
@@ -330,10 +368,10 @@ def test_records_and_created_parts_at_larger_sizes(seed, kind_mode, order):
         a = gen_random_dfa(n, sigma, seed)
     ref = init_refinement(a, order, prune=PRUNE[mode])
     before = _parts_by_id(ref)
-    while (rep := ref.step()) is not None:
+    while (delta := _step_delta(ref)) is not None:
         ref.check_invariants()
         after = _parts_by_id(ref)
-        created = dict(rep.created_parts)
+        created = delta[0]
         assert created == {q: after[q] for q in after.keys() - before.keys()}
         changed = {after[p] for p in before if after[p] != before[p]}
         assert set(after.values()) - set(before.values()) == set(created.values()) | changed
@@ -369,16 +407,18 @@ FAMILIES = ["nfa", "dfa", "wheeler", "sturmian"]
 @pytest.mark.parametrize("mode", sorted(PRUNE))
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_stepping_matches_one_run_full_call(kind, mode, order):
-    """After each step of a stepped run (select_splitter, then
-    three_way_split), regs and every Engine array equal what one run_full
-    call stopping at that many rounds leaves, the last step's empty
-    selection included: every register run_full holds in a local is
-    written back, and a pending splitter resumes where it stopped."""
+    """After each step of a stepped run, every other one after _select,
+    regs and every Engine array equal what one run_full call stopping at
+    that many rounds leaves, the last step that finds nothing included:
+    every register run_full holds in a local is written back, and a
+    pending splitter resumes where it stopped."""
     for seed in range(4):
         a = _family(kind, random.Random(seed).randint(5, 40), seed)
         stepped = init_refinement(a, order, prune=PRUNE[mode])
         for k in range(1, a.n + 2):
-            more = stepped.step() is not None
+            if k % 2:
+                _select(stepped)
+            more = stepped.step()
             one = init_refinement(a, order, prune=PRUNE[mode])
             K.run_full(one._kregs, one._st, int(one.prune), k, 0)
             assert np.array_equal(stepped.regs, one.regs), k
@@ -413,7 +453,7 @@ def test_numpy_rounds_match_the_kernel(kind, order, monkeypatch):
     for seed, n, blk in [(0, 5, 1), (1, 12, 1), (2, 30, 1), (3, 60, 1), (4, 500, 1), (5, 2000, 3)]:
         a = _family(kind, n, seed)
         kernel = init_refinement(a, order)
-        kernel.run_to_completion()
+        _step_to_end(kernel)
         monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", blk)
         numpy_rounds.clear()
         ref = init_refinement(a, order)
@@ -424,12 +464,13 @@ def test_numpy_rounds_match_the_kernel(kind, order, monkeypatch):
         assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
 
 
-def _state_after(a: Automaton, order: str, rounds: int) -> tuple[Refinement, partition.SplitterChoice]:
-    """The engine after that many kernel rounds, with the next splitter chosen."""
+def _state_after(a: Automaton, order: str, rounds: int) -> Refinement:
+    """The engine after that many kernel rounds, with the next splitter pending."""
     ref = init_refinement(a, order)
     for _ in range(rounds):
         ref.step()
-    return ref, ref.select_splitter()
+    _select(ref)
+    return ref
 
 
 @pytest.mark.parametrize("blk", [1, 2, 1024])
@@ -442,10 +483,10 @@ def test_numpy_round_leaves_the_kernel_state(kind, blk, monkeypatch):
         a = _family(kind, random.Random(seed).randint(5, 40), seed)
         order = ["ascending", "descending"][seed % 2]
         total = init_refinement(a, order)
-        total.run_to_completion()
+        _step_to_end(total)
         for k in range(total.rounds):
-            (want, choice), (got, _) = _state_after(a, order, k), _state_after(a, order, k)
-            want.three_way_split(choice)
+            want, got = _state_after(a, order, k), _state_after(a, order, k)
+            want.step()
             partition._numpy_round(got)
             assert np.array_equal(got.regs, want.regs)
             for f in ("splitcnt", "seen_gen", "partof", "pbeg", "pend", "xof",
@@ -500,6 +541,6 @@ def test_compiled_and_pruning_runs_make_one_run_full_call(numba, mode, monkeypat
     run_refinement(ref)
     assert calls == [0] and ref.rounds > 1
     kernel = init_refinement(a, prune=PRUNE[mode])
-    kernel.run_to_completion()
+    _step_to_end(kernel)
     assert ref.snapshot_partition() == kernel.snapshot_partition()
     assert ref.deleted_edge_ids() == kernel.deleted_edge_ids()

@@ -108,9 +108,11 @@ def test_deletions_come_from_one_trailing_x_part():
             ref = init_refinement(a, order, prune=True)
             deleted: dict[int, list[int]] = {v: [] for v in range(n)}
             while not ref.done:
-                rep = ref.step()
+                dead = set(ref.deleted_edge_ids())
+                ref.step()
                 per_target: dict[int, set[int]] = {}
-                for s, t, _ in rep.deleted_edges:
+                for e in set(ref.deleted_edge_ids()) - dead:
+                    s, t = int(a.esrc[e]), int(a.edst[e])
                     per_target.setdefault(t, set()).add(_x_position(ref, s))
                     deleted[t].append(s)
                 for t, xs in per_target.items():

@@ -15,6 +15,7 @@ from copar.oracle import (
     naive_coarsest_forward_stable,
     naive_prefix_sort,
 )
+from copar.partition import init_refinement, run_refinement
 from copar.refine import _identity_wheeler_check, refine_all, wheeler_preorder
 
 
@@ -118,8 +119,10 @@ def test_path_dfa_refinement_is_prefix_sort():
 
 def test_letter_order_flips_targets_blocks():
     a = example_quasi_wheeler_nfa()
-    asc = refine_all(a, "ascending")
-    desc = refine_all(a, "descending")
+    asc = refine_all(a)
+    ref = init_refinement(a, "descending")
+    run_refinement(ref)
+    desc = ref.snapshot_partition()
     assert asc.parts == [[0], [1, 2], [3], [4]]
     assert {frozenset(p) for p in desc.parts} == {frozenset(p) for p in asc.parts}
     assert desc.parts != asc.parts  # block order reversed
