@@ -193,7 +193,9 @@ def run_full(regs, st, prune, max_rounds, big_load):
     The heap holds each compound X-part exactly once, keyed by its begin
     (xbeg * xcap + id, where xcap = xbeg.shape[0] exceeds every X id), so
     its root is the leftmost one, S. A round carves the smaller of S's end
-    parts as B (ties go to the first), and B takes a fresh X id. The root
+    parts as B (ties go to the first), and B takes a fresh X id. The final
+    part sets do not depend on this discipline, but on an input whose
+    result is not quasi-Wheeler the part order does. The root
     is updated in place: popped when the remainder of S is simple, its key
     sifted down when B was first (S's begin moved), and left as it is when
     B was last. With big_load > 0 a splitter whose
@@ -201,7 +203,7 @@ def run_full(regs, st, prune, max_rounds, big_load):
     reaches big_load) reaches big_load is handed back pending: run_full
     returns with SPART >= 0 and the caller splits against it
     (partition.run_refinement passes NUMPY_ROUND_BLOCK on the pure-Python
-    backend without pruning, else 0).
+    backend, else 0).
     A pending splitter is split first on the next call; SPART is -1 when
     none is pending.
 

@@ -25,10 +25,13 @@ from copar.prune import PrunedAutomaton, refine_with_pruning, require_dfa
 
 # Fewest edges at which colex_order runs the sup pruning in a forked worker.
 # The worker's fork, result pipe and reaping cost about 3 ms, as much as one
-# pruning at m = 400. On a 2-vCPU x86-64 VM (pure-Python backend) both
-# prunings took the same time either way near m = 700 and 14% less with the
-# worker at m = 1000 (random DFAs, m = 2n, medians of 40). The break-even of
-# the numba backend, whose prunings are faster and whose worker would compile
+# pruning at m = 400. On a 2-vCPU x86-64 VM (pure-Python backend; random
+# DFAs, m = 2n, in-process medians of 40) the worker's time over the
+# in-process time read 1.1-1.8 at m = 700, 0.97-1.5 at m = 1000, 0.8-1.05 at
+# m = 1400 and 0.7-0.9 at m = 2000, the spread coming from how often the
+# second CPU was busy. No pruning round at m <= 2000 reaches the load of a
+# numpy round, so that round does not bear on the break-even. The numba
+# backend's break-even, with faster prunings and a worker that would compile
 # its own kernels, is unmeasured, so there the prunings never fork.
 WORKER_MIN_EDGES = 1000
 

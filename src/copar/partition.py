@@ -30,18 +30,20 @@ deletion log: a deleted edge sits past its target's live end in in_lst.
 
 A round runs in one of two modes. The kernel round walks B's out-edges one
 at a time: compiled with numba, else as plain Python at about 1 us an edge.
-On the pure-Python backend without pruning, run_refinement splits against
-a splitter whose load, |B| plus the out-degrees of its states, reaches
-NUMPY_ROUND_BLOCK in a numpy round (_numpy_round), which leaves the same
-engine up to record ids and the order inside parts. A numpy round costs
-0.25-0.4 ms even against a splitter of a few edges (a kernel round 10-30
-us), so it pays from a few hundred edges on. Compiled kernels never take
-it, since they walk an edge in nanoseconds; pruning runs never do, since
-their rounds also delete edges and the pruned workloads have no large
-splitter. The numpy round works in blocks of at most NUMPY_ROUND_BLOCK
-edges or states: freed temporaries of a whole round's size stay in glibc's
-heap once the parse has raised its mmap threshold, and unblocked they
-raised the peak RSS of the wheeler-sort benchmark by 6-14%.
+On the pure-Python backend, run_refinement splits against a splitter whose
+load, |B| plus the out-degrees of its states, reaches NUMPY_ROUND_BLOCK in
+a numpy round (_numpy_round), which leaves the same engine up to record
+ids, the order inside parts and, under pruning, the order inside each
+adjacency list. A numpy round costs 0.25-0.4 ms even against a splitter of
+a few edges (a kernel round 10-30 us), so it pays from a few hundred edges
+on. Compiled kernels never take it, since they walk an edge in
+nanoseconds. A pruning numpy round scans the D_11 states' in-edges as the
+kernel does and moves each doomed edge past the live ends with the swap
+its state moves use, so a deletion costs O(1), as in the kernel. The numpy
+round works in blocks of at most NUMPY_ROUND_BLOCK edges or
+states: freed temporaries of a whole round's size stay in glibc's heap once
+the parse has raised its mmap threshold, and unblocked they raised the peak
+RSS of the wheeler-sort benchmark by 6-14%.
 Refinement.step always runs the kernel round.
 """
 
@@ -154,8 +156,9 @@ class Refinement:
 
     @property
     def done(self) -> bool:
-        """True when the partition equals its own X cover (no compound X-part)."""
-        return int(self.regs[K.R_NCOMP]) == 0
+        """True when the partition equals its own X cover (no compound
+        X-part) and no splitter is pending."""
+        return int(self.regs[K.R_NCOMP]) == 0 and int(self.regs[K.R_SPART]) < 0
 
     @property
     def rounds(self) -> int:
@@ -319,14 +322,14 @@ def run_refinement(ref: Refinement) -> None:
 
     The loop over rounds runs inside run_full: compiled with numba, else as
     plain Python over zero-copy memoryviews of the engine arrays. On the
-    pure-Python backend without pruning, run_full hands back every splitter
+    pure-Python backend, pruning or not, run_full hands back every splitter
     whose load reaches NUMPY_ROUND_BLOCK, and _numpy_round splits against
     it before run_full resumes. A refinement of n states takes at most n - 1
     rounds; reaching n + 2 is reported as a round overrun.
     """
     r = ref.regs
     prune = int(ref.prune)
-    big_load = NUMPY_ROUND_BLOCK if not prune and not K.HAVE_NUMBA else 0
+    big_load = 0 if K.HAVE_NUMBA else NUMPY_ROUND_BLOCK
     limit = ref.n + 2
     K.run_full(ref._kregs, ref._st, prune, limit, big_load)
     while r[K.R_STATUS] == K.STATUS_OK and r[K.R_SPART] >= 0:
@@ -362,13 +365,14 @@ def _spans(lo: np.ndarray, ln: np.ndarray, blk: int):
 
 
 def _numpy_round(ref: Refinement) -> None:
-    """A run_full round without pruning against the pending splitter, in
-    numpy; it consumes the splitter and counts the round.
+    """A run_full round against the pending splitter, in numpy; it consumes
+    the splitter and counts the round.
 
     Leaves the engine as the kernel would, up to which count records are
-    used and the order of the states inside a part: the same counts,
-    record and free-stack sizes, round marks, xs, D_12 and D_11, and the
-    same new parts. Blocks of at most NUMPY_ROUND_BLOCK edges walk B's
+    used and the order of the states inside a part and of the edges inside
+    an adjacency list: the same counts, record and free-stack sizes, round
+    marks, xs, D_12 and D_11, the same new parts and, under pruning, the
+    same live edges. Blocks of at most NUMPY_ROUND_BLOCK edges walk B's
     out-edges in the kernel's order. A free record taken by the kernel on
     x's first edge may be one that a later edge frees, so the fresh records
     a block takes are computed from the running balance of first touches
@@ -392,7 +396,8 @@ def _numpy_round(ref: Refinement) -> None:
         maxsplit = max(maxsplit, int(ref.splitcnt[ys].max()))
         for _, j in _spans(ref.out_ptr[ys], ref.out_len[ys], blk):
             es = ref.out_lst[j]
-            es = es[seen_gen[edst[es]] != K.ALONE]
+            if not ref.prune:  # pruning runs mark no state ALONE
+                es = es[seen_gen[edst[es]] != K.ALONE]
             if es.size == 0:
                 continue
             xb = edst[es]
@@ -445,19 +450,84 @@ def _numpy_round(ref: Refinement) -> None:
     r[K.R_N12] = n12
     r[K.R_N11] = n11
     bfirst = bool(r[K.R_BFIRST])
-    _numpy_move(ref, ref.d12[:n12], bfirst)
-    if r[K.R_STATUS] == K.STATUS_OK:
-        _numpy_move(ref, ref.d11[:n11], bfirst)
+    if ref.prune:
+        r[K.R_FREETOP] = _numpy_prune(ref, ref.d11[:n11], bfirst, b, int(r[K.R_SPART]), ftop)
+        _numpy_move(ref, xs[:nxs] if bfirst else ref.d12[:n12], bfirst)
+    else:
+        _numpy_move(ref, ref.d12[:n12], bfirst)
+        if r[K.R_STATUS] == K.STATUS_OK:
+            _numpy_move(ref, ref.d11[:n11], bfirst)
     r[K.R_ROUNDS] += 1
     r[K.R_SPART] = -1
+
+
+def _numpy_prune(ref: Refinement, d11: np.ndarray, bfirst: bool, b: int, s: int, ftop: int) -> int:
+    """The kernel's _prune_d11 in numpy: deletes the in-edges of the D_11
+    states from the side that comes later in the part order (source in
+    X-part s when B was first, else in part b), decrements their count
+    records, pushes those reaching zero on the free stack and returns its
+    new top. Runs before any state moves. The doomed edges are all found
+    before any is moved, since a deletion reorders the in-lists scanned;
+    then blocks of them are deleted."""
+    blk = NUMPY_ROUND_BLOCK
+    esrc, edst, partof, cnt_val = ref.esrc, ref.edst, ref.partof, ref.cnt_val
+    doomed = [np.zeros(0, dtype=np.int64)]
+    for _, j in _spans(ref.in_ptr[d11], ref.in_len[d11], blk):
+        es = ref.in_lst[j]
+        p = partof[esrc[es]]
+        doomed.append(es[ref.xof[p] == s] if bfirst else es[p == b])
+    doomed = np.concatenate(doomed)
+    for i0 in range(0, doomed.size, blk):
+        de = doomed[i0 : i0 + blk]
+        # the scan leaves each target's doomed edges in one run, and they
+        # share one count record: that of the target and their X-part
+        x = edst[de]
+        starts = np.flatnonzero(np.append(True, x[1:] != x[:-1]))
+        cnt = np.diff(np.append(starts, de.size))
+        rec = ref.cnt_ref[de[starts]]
+        cnt_val[rec] -= cnt
+        z = rec[cnt_val[rec] == 0]
+        ref.free_stk[ftop : ftop + z.size] = z
+        ftop += z.size
+        tgt = x[starts]
+        ref.in_len[tgt] -= cnt
+        _swap_into(ref.in_lst, ref.in_pos, de, starts, cnt, ref.in_ptr[tgt] + ref.in_len[tgt])
+        order, new = sorted_runs(esrc[de])
+        starts = np.flatnonzero(new)
+        cnt = np.diff(np.append(starts, de.size))
+        src = esrc[de[order[starts]]]
+        ref.out_len[src] -= cnt
+        _swap_into(ref.out_lst, ref.out_pos, de[order], starts, cnt, ref.out_ptr[src] + ref.out_len[src])
+    return ftop
+
+
+def _swap_into(seq: np.ndarray, pos: np.ndarray, items: np.ndarray, starts: np.ndarray, cnt: np.ndarray,
+               lo: np.ndarray) -> None:
+    """Swap items into target spans of seq, pos its inverse: the run of
+    cnt[g] items from items[starts[g]] on fills the slots from lo[g] on, a
+    span inside the range of seq that holds run g's items and no other
+    run's. An item already inside its span stays put; the others swap with
+    the foreign items there."""
+    n = items.size
+    run0, base = np.repeat(starts, cnt), np.repeat(lo, cnt)
+    span = base + np.arange(n) - run0  # the slot row i fills
+    ps = pos[items]
+    d = ps - base  # how far into its run's span each item sits
+    inside = (d >= 0) & (d < np.repeat(cnt, cnt))
+    held = np.zeros(n, dtype=bool)
+    held[(run0 + d)[inside]] = True
+    holes, outs, px = span[~held], items[~inside], ps[~inside]
+    other = seq[holes]
+    seq[holes] = outs
+    seq[px] = other
+    pos[outs] = holes
+    pos[other] = px
 
 
 def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
     """The kernel's move in numpy: the states of move go to the front (or
     back) of their parts, each touched part splits into the moved piece,
-    which takes a fresh id, and the remainder. A moved state already inside
-    its target span stays put; the others swap with the unmoved states
-    inside it."""
+    which takes a fresh id, and the remainder."""
     blk = NUMPY_ROUND_BLOCK
     r = ref.regs
     elems, pos, partof, pbeg, pend = ref.elems, ref.pos, ref.partof, ref.pbeg, ref.pend
@@ -476,22 +546,7 @@ def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
         touched[ntouched : ntouched + tp.size] = tp
         ntouched += tp.size
         moved_cnt[up] = k0 + cnt
-        lo = pbeg[up] + k0 if to_front else pend[up] - k0 - cnt
-        # sorted row i belongs to a part whose target span holds span[i]
-        grp = np.cumsum(new) - 1
-        span = lo[grp] + np.arange(xm.size) - starts[grp]
-        xsorted = xm[order]
-        ps = pos[xsorted]
-        at = ps - span + np.arange(xm.size)  # the row of span that ps would be
-        inside = (at >= starts[grp]) & (at < starts[grp] + cnt[grp])
-        held = np.zeros(xm.size, dtype=bool)
-        held[at[inside]] = True
-        holes, outs, px = span[~held], xsorted[~inside], ps[~inside]
-        other = elems[holes]
-        elems[holes] = outs
-        elems[px] = other
-        pos[outs] = holes
-        pos[other] = px
+        _swap_into(elems, pos, xm[order], starts, cnt, pbeg[up] + k0 if to_front else pend[up] - k0 - cnt)
     for t0 in range(0, ntouched, blk):
         tp = touched[t0 : min(t0 + blk, ntouched)]
         k = moved_cnt[tp]
@@ -516,9 +571,9 @@ def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
         ref.xof[q] = xp
         for own, j in _spans(pbeg[q], k, blk):
             partof[elems[j]] = q[own]
-        # numpy rounds run only without pruning, so they mark as the kernel does
-        ref.seen_gen[elems[pbeg[q[k == 1]]]] = K.ALONE
-        ref.seen_gen[elems[pbeg[sp[pend[sp] - pbeg[sp] == 1]]]] = K.ALONE
+        if not ref.prune:  # mark the states left alone, as the kernel does
+            ref.seen_gen[elems[pbeg[q[k == 1]]]] = K.ALONE
+            ref.seen_gen[elems[pbeg[sp[pend[sp] - pbeg[sp] == 1]]]] = K.ALONE
         # an X-part of one part is touched at most once per move
         compound = xp[ref.xcnt[xp] == 1].tolist()
         np.add.at(ref.xcnt, xp, 1)

@@ -206,6 +206,13 @@ def test_criterion_8_performance_and_scaling():
         _report(8, False, f"n=10^6 run took {elapsed:.1f} s, peak {peak_gb:.2f} GB")
     if res.max_splitter_count > cap:
         _report(8, False, f"splitter counter {res.max_splitter_count} exceeds {cap}")
+    # the letter-order check of tests/test_refine.py at this size: the input
+    # is Wheeler, so the descending run gives exactly the reversed order
+    desc = init_refinement(big, "descending")
+    run_refinement(desc)
+    flipped = desc.snapshot_partition().as_class_array()
+    del desc
+    assert res.quasi_wheeler and (flipped == res.partition.k - 1 - res.partition.as_class_array()).all()
     sizes = [5**6 * 2**i for i in range(5)]
     rows = bench_scaling(sizes, trials=5, ops=("sort",), seed=1729)
     ratios = [b.median_ms / a.median_ms for a, b in zip(rows, rows[1:])]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copar import _kernels as K
-from copar import partition
+from copar import partition, prune
 from copar.automaton import Automaton, OrderedPartition, path_dfa
 from copar.examples import example_loop_dfa, example_quasi_wheeler_nfa
 from copar.generators import gen_random_dfa, gen_random_nfa, gen_wheeler_nfa
@@ -134,6 +134,19 @@ def test_step_finishes_a_pending_round(mode):
         run_refinement(plain)
         assert pending.snapshot_partition() == plain.snapshot_partition()
         assert pending.rounds == plain.rounds
+
+
+def test_done_waits_for_a_pending_splitter():
+    """A run_full call that hands its splitter back leaves a round to run:
+    done stays False until a step splits it."""
+    ref = init_refinement(example_quasi_wheeler_nfa())
+    ref.step()
+    ref.step()
+    K.run_full(ref._kregs, ref._st, 0, ref.rounds + 1, 1)
+    assert ref.regs[K.R_SPART] >= 0 and ref.regs[K.R_NCOMP] == 0
+    assert not ref.done
+    assert ref.step() and ref.rounds == 3
+    assert ref.done and not ref.step()
 
 
 @pytest.mark.parametrize(
@@ -432,14 +445,26 @@ def test_stepping_matches_one_run_full_call(kind, mode, order):
         assert stepped.done and stepped.rounds == k - 1
 
 
+# every family without pruning, and the DFAs, for which pruning is defined,
+# with it
+NUMPY_CASES = [pytest.param(kind, "off", id=kind) for kind in FAMILIES]
+NUMPY_CASES.append(pytest.param("dfa", "keep-first", id="dfa-keep-first"))
+
+
+def _live_edges(ref: Refinement) -> np.ndarray:
+    """The ids of the edges pruning has not deleted, ascending."""
+    return np.sort(ref.in_lst[ref.live_in_slots()]) if ref.prune else np.arange(ref.m)
+
+
 @pytest.mark.parametrize("order", ["ascending", "descending"])
-@pytest.mark.parametrize("kind", FAMILIES)
-def test_numpy_rounds_match_the_kernel(kind, order, monkeypatch):
+@pytest.mark.parametrize("kind,mode", NUMPY_CASES)
+def test_numpy_rounds_match_the_kernel(kind, mode, order, monkeypatch):
     """With the constant at 1 every round is a numpy round of one-edge
-    blocks; at 3, rounds of loads 1 and 2 stay in the kernel and the others
-    span several blocks. Partitions, rounds and splitter counts equal a
-    kernel-only run, and the engine invariants hold after every numpy round
-    up to n = 200."""
+    blocks; at 2 or 3, rounds of smaller loads stay in the kernel and the
+    others span several blocks; at 1024 only the large splitters of a
+    full-size pruning input take numpy rounds. Partitions, rounds, splitter
+    counts, deleted edges and kept in-edges equal a kernel-only run, and the
+    engine invariants hold after every numpy round up to n = 200."""
     numpy_rounds = []
     one_round = partition._numpy_round
 
@@ -450,42 +475,60 @@ def test_numpy_rounds_match_the_kernel(kind, order, monkeypatch):
             ref.check_invariants()
 
     monkeypatch.setattr(partition, "_numpy_round", checked_round)
-    for seed, n, blk in [(0, 5, 1), (1, 12, 1), (2, 30, 1), (3, 60, 1), (4, 500, 1), (5, 2000, 3)]:
-        a = _family(kind, n, seed)
-        kernel = init_refinement(a, order)
+    sizes = [(0, 5, 1), (1, 12, 1), (2, 30, 1), (3, 60, 1), (6, 40, 2), (4, 500, 1), (5, 2000, 3)]
+    cases = [(_family(kind, n, seed), blk) for seed, n, blk in sizes]
+    if mode == "keep-first":  # the shape of the dfa-colex input
+        cases.append((gen_random_dfa(8_000, 4, 7, m=16_000), 1024))
+    for a, blk in cases:
+        kernel = init_refinement(a, order, prune=PRUNE[mode])
         _step_to_end(kernel)
         monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", blk)
         numpy_rounds.clear()
-        ref = init_refinement(a, order)
+        ref = init_refinement(a, order, prune=PRUNE[mode])
         run_refinement(ref)
         assert 0 < len(numpy_rounds) <= ref.rounds
         assert blk > 1 or len(numpy_rounds) == ref.rounds
         assert ref.snapshot_partition() == kernel.snapshot_partition()
         assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
+        assert ref.deleted_edge_ids() == kernel.deleted_edge_ids()
+        if ref.prune:
+            direction = "inf" if order == "ascending" else "sup"
+            kept = [prune._assemble(a, direction, r).kept_src for r in (ref, kernel)]
+            assert np.array_equal(*kept)
 
 
-def _state_after(a: Automaton, order: str, rounds: int) -> Refinement:
+def _state_after(a: Automaton, order: str, mode: str, rounds: int) -> Refinement:
     """The engine after that many kernel rounds, with the next splitter pending."""
-    ref = init_refinement(a, order)
+    ref = init_refinement(a, order, prune=PRUNE[mode])
     for _ in range(rounds):
         ref.step()
     _select(ref)
     return ref
 
 
+def _adjacency(ref: Refinement) -> tuple[list[list[int]], list[list[int]]]:
+    """Each state's live in-edges and out-edges, sorted."""
+    outs = [
+        sorted(ref.out_lst[ref.out_ptr[u] : ref.out_ptr[u] + ref.out_len[u]].tolist())
+        for u in range(ref.n)
+    ]
+    return [sorted(ref.surviving_in_edges(v)) for v in range(ref.n)], outs
+
+
 @pytest.mark.parametrize("blk", [1, 2, 1024])
-@pytest.mark.parametrize("kind", FAMILIES)
-def test_numpy_round_leaves_the_kernel_state(kind, blk, monkeypatch):
+@pytest.mark.parametrize("kind,mode", NUMPY_CASES)
+def test_numpy_round_leaves_the_kernel_state(kind, mode, blk, monkeypatch):
     """From the same state, one numpy round and one kernel round leave the
-    same engine, up to record ids and the order inside each part."""
+    same engine, up to record ids, the order inside each part and the order
+    of the edges inside each adjacency list."""
     monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", blk)
     for seed in range(4):
         a = _family(kind, random.Random(seed).randint(5, 40), seed)
         order = ["ascending", "descending"][seed % 2]
-        total = init_refinement(a, order)
+        total = init_refinement(a, order, prune=PRUNE[mode])
         _step_to_end(total)
         for k in range(total.rounds):
-            want, got = _state_after(a, order, k), _state_after(a, order, k)
+            want, got = _state_after(a, order, mode, k), _state_after(a, order, mode, k)
             want.step()
             partition._numpy_round(got)
             assert np.array_equal(got.regs, want.regs)
@@ -497,16 +540,23 @@ def test_numpy_round_leaves_the_kernel_state(kind, blk, monkeypatch):
                 assert np.array_equal(getattr(got, f)[: r[reg]], getattr(want, f)[: r[reg]]), f
             assert _parts_by_id(got) == _parts_by_id(want)
             assert np.array_equal(got.pos[got.elems], np.arange(got.n))
-            # the same grouping of edges into records, with the same counts
-            assert np.array_equal(got.cnt_val[got.cnt_ref], want.cnt_val[want.cnt_ref])
-            pairs = set(zip(got.cnt_ref.tolist(), want.cnt_ref.tolist()))
+            assert _adjacency(got) == _adjacency(want)
+            if mode == "keep-first":
+                for lst, at in ((got.in_lst, got.in_pos), (got.out_lst, got.out_pos)):
+                    assert np.array_equal(at[lst], np.arange(got.m))
+            # the same grouping of live edges into records, with the same
+            # counts; a deleted edge keeps a stale record id
+            live = _live_edges(got)
+            gref, wref = got.cnt_ref[live], want.cnt_ref[live]
+            assert np.array_equal(got.cnt_val[gref], want.cnt_val[wref])
+            pairs = set(zip(gref.tolist(), wref.tolist()))
             assert len(pairs) == len({p for p, _ in pairs}) == len({q for _, q in pairs})
             xs = got.xs[: r[K.R_NXS]]
             assert np.array_equal(got.cnt_val[got.xrec[xs]], want.cnt_val[want.xrec[xs]])
             # free records are distinct, unused and count 0, as are those past NREC
             free = got.free_stk[: r[K.R_FREETOP]]
             assert np.unique(free).size == free.size and not got.cnt_val[free].any()
-            assert not set(free.tolist()) & set(got.cnt_ref.tolist())
+            assert not set(free.tolist()) & set(gref.tolist())
             assert (free < r[K.R_NREC]).all() and not got.cnt_val[r[K.R_NREC] :].any()
 
 
@@ -523,9 +573,11 @@ def test_record_capacity_breach_in_either_round(threshold, monkeypatch):
     assert ref.regs[K.R_STATUS] == K.STATUS_RECORD_CAP
 
 
-@pytest.mark.parametrize("numba,mode", [(True, "off"), (False, "keep-first")])
-def test_compiled_and_pruning_runs_make_one_run_full_call(numba, mode, monkeypatch):
-    """Only the pure-Python backend without pruning hands splitters back."""
+@pytest.mark.parametrize("numba,mode", [(True, "off"), (True, "keep-first"), (False, "keep-first")])
+def test_only_the_python_backend_hands_splitters_back(numba, mode, monkeypatch):
+    """Compiled, run_refinement makes one run_full call with big_load 0; on
+    the pure-Python backend pruning runs, like plain ones, pass
+    NUMPY_ROUND_BLOCK and get large splitters handed back."""
     monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", 1)
     monkeypatch.setattr(K, "HAVE_NUMBA", numba)
     calls = []
@@ -539,7 +591,8 @@ def test_compiled_and_pruning_runs_make_one_run_full_call(numba, mode, monkeypat
     a = gen_random_dfa(60, 3, 5)
     ref = init_refinement(a, prune=PRUNE[mode])
     run_refinement(ref)
-    assert calls == [0] and ref.rounds > 1
+    assert ref.rounds > 1
+    assert calls == ([0] if numba else [1] * (ref.rounds + 1))
     kernel = init_refinement(a, prune=PRUNE[mode])
     _step_to_end(kernel)
     assert ref.snapshot_partition() == kernel.snapshot_partition()

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from copar.automaton import Automaton, ValidationError, path_dfa, reverse_automaton
 from copar.examples import example_quasi_wheeler_nfa, example_unordered_nfa
-from copar.generators import gen_random_nfa, gen_wheeler_nfa
+from copar.generators import gen_random_dfa, gen_random_nfa, gen_wheeler_nfa
 from copar.oracle import (
     bisimilarity_partition,
     check_wheeler_order,
@@ -126,6 +127,39 @@ def test_letter_order_flips_targets_blocks():
     assert asc.parts == [[0], [1, 2], [3], [4]]
     assert {frozenset(p) for p in desc.parts} == {frozenset(p) for p in asc.parts}
     assert desc.parts != asc.parts  # block order reversed
+
+
+def _letter_orders_agree(a: Automaton) -> bool:
+    """Assert that the descending run gives the ascending run's part sets
+    and, when the ascending order is quasi-Wheeler, exactly its reverse;
+    return the flag. Only that much of the order is canonical: otherwise
+    the splitter discipline fixes it."""
+    res = wheeler_preorder(a)
+    ref = init_refinement(a, "descending")
+    run_refinement(ref)
+    k = res.partition.k
+    asc, desc = res.partition.as_class_array(), ref.snapshot_partition().as_class_array()
+    image = np.zeros(k, dtype=np.int64)
+    image[asc] = desc  # part i of the ascending run is part image[i] of the descending one
+    assert np.array_equal(image[asc], desc) and np.array_equal(np.sort(image), np.arange(k))
+    if res.quasi_wheeler:
+        assert np.array_equal(desc, k - 1 - asc)
+    return res.quasi_wheeler
+
+
+def test_letter_orders_give_the_same_parts():
+    flags = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(2, 200)
+        sigma = rng.randint(1, min(3, n - 1))
+        m = rng.randint(n - 1, min(3 * (n - 1), n * (n - 1)))
+        flags.append(_letter_orders_agree(gen_random_nfa(n, sigma, seed, m=m)))
+        flags.append(_letter_orders_agree(gen_random_dfa(n, sigma, seed)))
+        assert _letter_orders_agree(gen_wheeler_nfa(n, min(m, (sigma + 1) * (n - 1)), sigma, seed))
+    assert not all(flags)  # the part sets are compared off the Wheeler inputs too
+    n = 100_000
+    assert _letter_orders_agree(gen_wheeler_nfa(n, 3 * (n - 1), 3, 7))
 
 
 def test_single_state_automaton():
