@@ -127,13 +127,12 @@ class Automaton:
         validate) this reports the smallest such letter.
         """
         if self._lam is None:
-            lam = np.full(self.n, -1, dtype=np.int64)
-            if self.m:
-                order = np.lexsort((self.elab, self.edst))
-                dst = self.edst[order]
-                # the first row of each target's run carries its smallest letter
-                first = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-                lam[dst[first]] = self.elab[order[first]]
+            # one unbuffered pass over the edges; letters stay below
+            # sigma, so the start value marks the states with no in-edge
+            none = np.iinfo(np.int64).max
+            lam = np.full(self.n, none, dtype=np.int64)
+            np.minimum.at(lam, self.edst, self.elab)
+            lam[lam == none] = -1
             self._lam = lam
         return self._lam
 
@@ -257,9 +256,6 @@ def _parse_header(lineno: int, fields: list[str]) -> tuple[int, int, int, int]:
 
 # characters other than "\n" on which str.splitlines breaks a line
 _LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-# bytes a body may hold on the vectorized path: digits, space, tab, CR, LF
-_BODY_BYTES = np.zeros(256, dtype=bool)
-_BODY_BYTES[[ord(c) for c in "0123456789 \t\r\n"]] = True
 # longer digit runs may not fit in int64
 _MAX_DIGITS = 18
 
@@ -288,13 +284,14 @@ def _parse_vectorized(text: str) -> Automaton | None:
     if not body.isascii():
         return None
     raw = body.encode("ascii")
+    if raw.translate(None, b"0123456789 \t\r\n") != b"":
+        return None  # a byte other than a digit, space, tab, CR or LF
     b = np.frombuffer(raw, dtype=np.uint8)
-    if not _BODY_BYTES[b].all():
-        return None
     cr = np.flatnonzero(b == 13)
     if cr.size and (cr[-1] + 1 == b.size or np.any(b[cr + 1] != 10)):
         return None  # a lone "\r" ends a line for str.splitlines
-    digit = np.concatenate(([False], b >= ord("0"), [False]))  # only digits pass >= "0"
+    digit = np.zeros(b.size + 2, dtype=bool)
+    np.greater_equal(b, ord("0"), out=digit[1:-1])  # only digits pass >= "0"
     bounds = np.flatnonzero(digit[1:] != digit[:-1])
     starts, ends = bounds[0::2], bounds[1::2]
     if starts.size != 3 * m or (m and int((ends - starts).max()) > _MAX_DIGITS):
@@ -364,14 +361,70 @@ def _parse_lines(text: str) -> Automaton:
     return Automaton(n, sigma, source, edges)
 
 
+# 10**1 .. 10**18: a value v >= 0 has 1 + searchsorted(_POWERS, v, "right") digits
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)
+# separators of the three values of an edge line or a RANKS line
+_ROW_SEPS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)
+
+
+def _int_text(values: np.ndarray, seps: np.ndarray | int) -> str:
+    """Each value in decimal, followed by its separator byte.
+
+    values is an int64 array of any shape and seps broadcasts to it; the
+    text follows values in C order. A value of -1 writes its separator
+    alone. Each value gets a row of a byte grid: its digits right-aligned,
+    one numpy pass per digit position, then its separator. Dropping the
+    leading zeros leaves the text, so no value becomes a Python str; values
+    reach 2**63 - 1.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    flat = values.ravel()
+    if flat.size and flat.min() < -1:
+        raise ValueError("only values >= 0, or -1 for none, can be written")
+    width = 1 + int(np.searchsorted(_POWERS, flat.max(), side="right")) if flat.size else 1
+    grid = np.empty((flat.size, width + 1), dtype=np.uint8)
+    keep = np.empty(grid.shape, dtype=bool)
+    grid[:, width] = np.broadcast_to(seps, values.shape).ravel()
+    keep[:, width] = True
+    # below 10**9 every value fits int32, whose division is faster
+    rest = flat.astype(np.int32) if width < 10 else flat
+    for col in range(width - 1, -1, -1):
+        quot = rest // 10
+        grid[:, col] = rest - 10 * quot + ord("0")
+        keep[:, col] = rest > 0  # a leading zero is dropped
+        rest = quot
+    keep[:, width - 1] = flat >= 0  # 0 keeps its one digit, -1 none
+    return str(grid[keep].data, "ascii")
+
+
+def _lines_text(members: np.ndarray, starts: np.ndarray, numbered: bool = False) -> str:
+    """Line i lists members[starts[i] : starts[i + 1]], space-separated, after
+    an "i: " label when numbered; each line ends in a newline."""
+    members = np.asarray(members, dtype=np.int64)
+    if members.size and members.min() < 0:
+        raise ValueError("only values >= 0 can be written")
+    sizes = np.diff(starts)
+    lead = 2 if numbered else 0  # the label, then a blank before ": "
+    # a line without members or label is one blank before its "\n"
+    width = np.maximum(sizes + lead, 1)
+    ends = np.cumsum(width)
+    begins = ends - width
+    values = np.full(ends.size and int(ends[-1]), -1, dtype=np.int64)
+    seps = np.full(values.size, ord(" "), dtype=np.uint8)
+    values[np.arange(members.size) + np.repeat(begins + lead - starts[:-1], sizes)] = members
+    if numbered:
+        values[begins] = np.arange(sizes.size)
+        seps[begins] = ord(":")
+    seps[ends - 1] = ord("\n")
+    return _int_text(values, seps)
+
+
 def serialize_automaton(a: Automaton, comment: str | None = None) -> str:
     """Render the NFA text format with edges sorted by (from, to, letter)."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"NFA {a.n} {a.m} {a.source} {a.sigma}")
-    lines.extend(f"{u} {v} {c}" for u, v, c in a.sorted_edges())
-    return "\n".join(lines) + "\n"
+    head = f"# {comment}\n" if comment else ""
+    o = a._canonical_order()
+    edges = np.stack((a.esrc[o], a.edst[o], a.elab[o]), axis=1)
+    return head + f"NFA {a.n} {a.m} {a.source} {a.sigma}\n" + _int_text(edges, _ROW_SEPS)
 
 
 # A BFS level of at most this many states and out-edges is scanned in plain
@@ -614,11 +667,7 @@ class OrderedPartition:
 
 def serialize_ordered_partition(p: OrderedPartition) -> str:
     """Render the ORDPART format: header then one 'index: members' line per part."""
-    ids = [str(v) for v in p.members.tolist()]
-    s = p.starts.tolist()
-    lines = [f"ORDPART {p.k}"]
-    lines.extend(f"{i}: " + " ".join(ids[s[i] : s[i + 1]]) for i in range(p.k))
-    return "\n".join(lines) + "\n"
+    return f"ORDPART {p.k}\n" + _lines_text(p.members, p.starts, numbered=True)
 
 
 def parse_ordered_partition(text: str) -> OrderedPartition:
@@ -666,8 +715,7 @@ def parse_ordered_partition(text: str) -> OrderedPartition:
 
 def serialize_order(order: Sequence[int]) -> str:
     """Render a total state order as 'ORDER <n>' plus the ids smallest-first."""
-    ids = " ".join(str(v) for v in order)
-    return f"ORDER {len(order)}\n{ids}\n"
+    return f"ORDER {len(order)}\n" + _lines_text(order, np.array([0, len(order)]))
 
 
 def parse_order(text: str) -> list[int]:

@@ -12,7 +12,14 @@ never in a traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# copar calls no BLAS routine, but numpy starts a BLAS thread per core as it
+# loads, which slows every run's start; this runs before numpy loads, since
+# `import copar` loads none of it, and a user's own setting wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from copar._kernels import KernelCompileError
 from copar.automaton import (
@@ -33,10 +40,20 @@ DEFAULT_SEED = 1729
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of a file, or of stdin for "-"; a byte that does not
+    decode raises a ParseError naming its line."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; with one more character they
+        # split into as many lines as str.splitlines gives up to that byte
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
 
 
 def _write(path: str | None, text: str) -> None:

@@ -11,6 +11,7 @@ count equals the order's width.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import threading
@@ -20,7 +21,14 @@ import numpy as np
 
 from copar import prune
 from copar._kernels import HAVE_NUMBA
-from copar.automaton import Automaton, OrderedPartition, sorted_runs
+from copar.automaton import (
+    _ROW_SEPS,
+    Automaton,
+    OrderedPartition,
+    _int_text,
+    _lines_text,
+    sorted_runs,
+)
 from copar.prune import PrunedAutomaton, refine_with_pruning, require_dfa
 
 # Fewest edges at which colex_order runs the sup pruning in a forked worker.
@@ -281,10 +289,11 @@ def _fork_sup_worker(a: Automaton) -> tuple[int, int] | None:
 def serialize_colex(res: ColexResult) -> str:
     """Write ranks and chains: 'RANKS n' + one 'v inf sup' line per state,
     then 'CHAINS p' + one space-separated chain per line."""
-    lines = [f"RANKS {len(res.inf_rank)}"]
-    lines.extend(
-        f"{v} {i} {s}" for v, (i, s) in enumerate(zip(res.inf_rank.tolist(), res.sup_rank.tolist()))
+    n = len(res.inf_rank)
+    ranks = np.stack((np.arange(n), res.inf_rank, res.sup_rank), axis=1)
+    starts = np.cumsum([0] + [len(chain) for chain in res.chains])
+    members = np.fromiter(itertools.chain.from_iterable(res.chains), np.int64, int(starts[-1]))
+    return (
+        f"RANKS {n}\n" + _int_text(ranks, _ROW_SEPS)
+        + f"CHAINS {len(res.chains)}\n" + _lines_text(members, starts)
     )
-    lines.append(f"CHAINS {len(res.chains)}")
-    lines.extend(" ".join(str(v) for v in chain) for chain in res.chains)
-    return "\n".join(lines) + "\n"

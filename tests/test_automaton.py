@@ -85,6 +85,33 @@ def test_in_labels_takes_the_smallest_letter():
     assert rev.in_labels().tolist() == [-1, 1, -1, 0, -1]
 
 
+def _in_labels_by_lexsort(a):
+    """Each state's smallest in-letter, -1 without in-edges: the first row
+    of each target's run in (target, letter) order."""
+    lam = np.full(a.n, -1, dtype=np.int64)
+    order = np.lexsort((a.elab, a.edst))
+    dst = a.edst[order]
+    first = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]]) if a.m else []
+    lam[dst[first]] = a.elab[order[first]]
+    return lam
+
+
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 40), st.randoms(use_true_random=False))
+def test_in_labels_matches_a_lexsort(n, sigma, m, rng):
+    # with several letters per target the smallest must win; m = 0 leaves
+    # every state at -1
+    rows = {(rng.randrange(n), rng.randrange(n), rng.randrange(sigma)) for _ in range(m)}
+    a = Automaton(n, sigma, 0, sorted(rows, key=lambda r: rng.random()))
+    assert a.in_labels().tolist() == _in_labels_by_lexsort(a).tolist()
+
+
+def test_in_labels_of_wide_letters_and_no_edges():
+    big = 2**62
+    a = Automaton(4, big + 2, 0, [(0, 1, big + 1), (2, 1, big), (0, 2, 0), (1, 2, big)])
+    assert a.in_labels().tolist() == [-1, big, 0, -1] == _in_labels_by_lexsort(a).tolist()
+    assert Automaton(3, 2, 1, []).in_labels().tolist() == [-1, -1, -1]
+
+
 def test_basic_accessors():
     a = example_quasi_wheeler_nfa()
     assert (a.n, a.m, a.sigma, a.source) == (5, 7, 2, 0)
@@ -526,6 +553,23 @@ def test_well_formed_text_is_parsed_without_the_line_loop(text, line_loop_calls)
     ],
 )
 def test_anomalies_fall_back_to_the_line_loop(text, line_loop_calls):
+    got = _outcome(parse_automaton, text)
+    assert line_loop_calls == [text]
+    assert got == _outcome(automaton._parse_lines, text)
+
+
+@pytest.mark.parametrize("byte", ["/", ":", "\x00", "\x7f", "\x1f"])  # next to the body set
+@pytest.mark.parametrize(
+    "text",
+    [
+        "NFA 3 2 0 1\n0 1 0\n0 2{}0\n",  # between two fields
+        "NFA 3 2 0 1\n0 1{}\n0 2 0\n",  # inside a field
+        "NFA 3 2 0 1\n0 1 0\n0 2 0\n{}",  # after the last line
+        "NFA 3 2 0 1\n0 1 0\n{}\n0 2 0\n",  # alone on a line
+    ],
+)
+def test_bytes_outside_the_body_set_reach_the_line_loop(byte, text, line_loop_calls):
+    text = text.format(byte)
     got = _outcome(parse_automaton, text)
     assert line_loop_calls == [text]
     assert got == _outcome(automaton._parse_lines, text)

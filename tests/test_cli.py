@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,11 @@ from copar.automaton import parse_automaton, serialize_automaton, serialize_orde
 from copar.examples import example_loop_dfa, example_unordered_nfa
 
 LOOP = "NFA 3 3 0 2\n0 1 1\n1 2 0\n2 2 0\n"
+
+
+def _stdin(data: str | bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin that, like the real one, has a byte buffer."""
+    return io.TextIOWrapper(io.BytesIO(data.encode() if isinstance(data, str) else data))
 
 
 @pytest.fixture
@@ -44,7 +50,7 @@ def test_sort_quasi_false_and_quotient(tmp_path, capsys):
 
 
 def test_sort_reads_stdin_writes_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli.sys, "stdin", io.StringIO(LOOP))
+    monkeypatch.setattr(cli.sys, "stdin", _stdin(LOOP))
     out = tmp_path / "out.txt"
     assert cli.main(["sort", "-", "-o", str(out)]) == 0
     assert capsys.readouterr().out == ""
@@ -136,6 +142,28 @@ def test_exit_code_3_on_parse_and_io_errors(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data,line",
+    [
+        (b"NFA 2 1 0 1\n0 1 0\xff\n", 2),
+        (b"\xfe\xffNFA 2 0 0 1\n", 1),
+        (b"NFA 2 1 0 1\r\n0 1 0\r\n\xc3", 3),  # a sequence cut short
+        (b"NFA 2 1 0 1\r0 1 0\x0b# \xe2\x82\n", 3),  # lines as str.splitlines counts them
+        (b"# \xc3\xa9t\xc3\xa9\nNFA 2 1 0 1\n0 1 0\n\xed\xa0\x80\n", 4),  # a surrogate
+    ],
+)
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_exit_code_3_on_text_that_is_not_utf8(data, line, from_stdin, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bad.nfa"
+    path.write_bytes(data)
+    if from_stdin:
+        monkeypatch.setattr(cli.sys, "stdin", _stdin(data))
+    assert cli.main(["sort", "-" if from_stdin else str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: line {line}: not UTF-8 text: byte 0x")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_1_on_validation_and_contract_errors(tmp_path, capsys):
     unreachable = tmp_path / "unreachable.nfa"
     unreachable.write_text("NFA 3 1 0 1\n0 1 0\n")
@@ -160,7 +188,7 @@ def test_exit_code_1_on_memory_error(loop_path, capsys, monkeypatch):
 
 def test_exit_code_3_on_header_ids_beyond_int64(capsys, monkeypatch):
     text = "NFA 100000000000000000000 1 0 1\n0 99999999999999999999 0\n"
-    monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(cli.sys, "stdin", _stdin(text))
     assert cli.main(["sort", "-"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error: line 1: ") and err.count("\n") == 1
@@ -178,7 +206,7 @@ def test_header_beyond_m_is_refused_before_allocating(text, diagnostic, capsys, 
         raise AssertionError("validate allocates per state and per letter")
 
     monkeypatch.setattr(refine, "validate", allocates)
-    monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(cli.sys, "stdin", _stdin(text))
     assert cli.main(["sort", "-"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"validation: {diagnostic}: ") and err.count("\n") == 1
@@ -187,7 +215,7 @@ def test_header_beyond_m_is_refused_before_allocating(text, diagnostic, capsys, 
 def test_distinct_edges_of_a_large_header_are_not_duplicates(capsys, monkeypatch):
     # a packed (src * n + dst) * sigma + letter key wraps around int64 here
     text = "NFA 4611686018427387904 2 0 1\n0 5 0\n4 5 0\n"
-    monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(cli.sys, "stdin", _stdin(text))
     assert cli.main(["sort", "-"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation: unreachable(1): ") and err.count("\n") == 1
@@ -205,12 +233,12 @@ def _no_long_range(module, monkeypatch, limit=1000):
 
 
 def test_make_ic_ignores_the_header_state_count(capsys, monkeypatch):
-    monkeypatch.setattr(cli.sys, "stdin", io.StringIO("NFA 2 0 0 0\n"))
+    monkeypatch.setattr(cli.sys, "stdin", _stdin("NFA 2 0 0 0\n"))
     assert cli.main(["colex", "-", "--make-ic"]) == 0
     small = capsys.readouterr().out
     assert small.startswith("# ic 0 <- 0\nRANKS 1\n")
     _no_long_range(automaton, monkeypatch)
-    monkeypatch.setattr(cli.sys, "stdin", io.StringIO("NFA 1000000000000 0 0 0\n"))
+    monkeypatch.setattr(cli.sys, "stdin", _stdin("NFA 1000000000000 0 0 0\n"))
     tracemalloc.start()
     try:
         assert cli.main(["colex", "-", "--make-ic"]) == 0
@@ -300,6 +328,47 @@ def test_cli_run_does_not_import_oracle_bench_or_generators(loop_path, argv):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.endswith("[]\n")
+
+
+def test_import_copar_loads_no_numpy():
+    code = (
+        "import sys, copar\n"
+        "print('numpy' in sys.modules, set(copar.__all__) <= set(dir(copar)))\n"
+        "copar.Automaton, copar.gen_wheeler_nfa\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False True\nTrue\n"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_pins_one_blas_thread_before_numpy_loads(loop_path):
+    # records the three variables at the moment the CLI child first imports numpy
+    code = (
+        "import json, os, runpy, sys\n"
+        "seen = {}\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        f"            seen.update((v, os.environ.get(v)) for v in {BLAS_VARS!r})\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        f"sys.argv = ['copar', 'sort', {loop_path!r}]\n"
+        "try:\n"
+        "    runpy.run_module('copar.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(PYTHONPATH=str(Path(cli.__file__).parents[1]), OMP_NUM_THREADS="3")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
 
 
 def test_exit_code_1_on_engine_status_error(loop_path, capsys, monkeypatch):
