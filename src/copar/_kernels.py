@@ -23,11 +23,14 @@ input (n = 12 000, 11 931 rounds, 2 cores, CPython 3.11). Only _prune_d11
 which serves partition.py) stay calls.
 
 Register layout (indices into regs), every register read or written here:
-  counters:  NPARTS, NX, HSIZE, GEN, NREC, FREETOP, ROUNDS, MAXSPLIT, NCOMP
-  per-round: NXS, N12, N11 (reached states, D_12, D_11); SPART, BPART,
-             BFIRST (the splitter's X-part, -1 when none is pending, B, and
-             whether B was first)
+  counters:  NPARTS, HSIZE, NREC, FREETOP, ROUNDS
+  per-round: NXS, N12 (reached states, D_12; D_11 holds NXS - N12); SPART,
+             BPART, BFIRST (the splitter's X-part, -1 when none is pending,
+             B, and whether B was first)
   fixed:     STATUS (0 ok, nonzero = internal error)
+The rest is derived: HSIZE counts the compound X-parts, round r + 1 takes
+generation r + 1 and makes X-part r + 1 (X-part 0 covers everything), and
+the largest splitter count is the maximum of splitcnt.
 """
 
 from __future__ import annotations
@@ -70,23 +73,18 @@ Engine = namedtuple(
     "heap xbeg xend xcnt xof elems pos partof pbeg pend"
     " esrc edst out_ptr out_len out_lst out_pos in_ptr in_len in_lst in_pos"
     " cnt_ref cnt_val free_stk splitcnt seen_gen"
-    " xs d12 d11 xrec moved_cnt touched",
+    " xs d12 d11 xrec moved_cnt",
 )
 
-NREGS = 16
+NREGS = 11
 (
     R_NPARTS,
-    R_NX,
     R_HSIZE,
-    R_GEN,
     R_NREC,
     R_FREETOP,
     R_ROUNDS,
-    R_MAXSPLIT,
-    R_NCOMP,
     R_NXS,
     R_N12,
-    R_N11,
     R_SPART,
     R_BPART,
     R_BFIRST,
@@ -147,7 +145,7 @@ def _prune_d11(st, bfirst, b, s, ftop, n11):
     (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
      esrc, edst, out_ptr, out_len, out_lst, out_pos, in_ptr, in_len, in_lst, in_pos,
      cnt_ref, cnt_val, free_stk, splitcnt, seen_gen,
-     xs, d12, d11, xrec, moved_cnt, touched) = st
+     xs, d12, d11, xrec, moved_cnt) = st
     for i in range(n11):
         x = d11[i]
         base = in_ptr[x]
@@ -193,7 +191,7 @@ def run_full(regs, st, prune, max_rounds, big_load):
     The heap holds each compound X-part exactly once, keyed by its begin
     (xbeg * xcap + id, where xcap = xbeg.shape[0] exceeds every X id), so
     its root is the leftmost one, S. A round carves the smaller of S's end
-    parts as B (ties go to the first), and B takes a fresh X id. The final
+    parts as B (ties go to the first), and B takes X id ROUNDS + 1. The final
     part sets do not depend on this discipline, but on an input whose
     result is not quasi-Wheeler the part order does. The root
     is updated in place: popped when the remainder of S is simple, its key
@@ -215,8 +213,8 @@ def run_full(regs, st, prune, max_rounds, big_load):
     past NREC count 0, so a taken record starts at 0, and the old record
     keeps counting the remainder side without being rewritten. An old
     record reaching zero means every in-edge of x from S came from B' (the
-    states of B): x is D_12 (seen_gen = -GEN), the other reached states are
-    D_11. No state of B moves during the pass.
+    states of B): x is D_12 (seen_gen = -gen, where gen = ROUNDS + 1), the
+    other reached states are D_11. No state of B moves during the pass.
 
     Without pruning (prune = 0), D_12 and then D_11 move toward B's side of
     their parts and split off, giving the pieces (D_12, D_11, rest) when B
@@ -242,14 +240,13 @@ def run_full(regs, st, prune, max_rounds, big_load):
     (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
      esrc, edst, out_ptr, out_len, out_lst, out_pos, in_ptr, in_len, in_lst, in_pos,
      cnt_ref, cnt_val, free_stk, splitcnt, seen_gen,
-     xs, d12, d11, xrec, moved_cnt, touched) = st
+     xs, d12, d11, xrec, moved_cnt) = st
     hcap, xcap = heap.shape[0], xbeg.shape[0]
     pcap, rcap = pbeg.shape[0], cnt_val.shape[0]
-    gen, ftop, nrec, hsize = regs[R_GEN], regs[R_FREETOP], regs[R_NREC], regs[R_HSIZE]
-    nx, nparts, ncomp = regs[R_NX], regs[R_NPARTS], regs[R_NCOMP]
-    rounds, maxsplit, status = regs[R_ROUNDS], regs[R_MAXSPLIT], regs[R_STATUS]
+    ftop, nrec, hsize, nparts = regs[R_FREETOP], regs[R_NREC], regs[R_HSIZE], regs[R_NPARTS]
+    rounds, status = regs[R_ROUNDS], regs[R_STATUS]
     s, b, bfirst = regs[R_SPART], regs[R_BPART], regs[R_BFIRST]
-    nxs, n12, n11 = regs[R_NXS], regs[R_N12], regs[R_N11]
+    nxs, n12 = regs[R_NXS], regs[R_N12]
     while status == STATUS_OK and rounds < max_rounds:
         if s < 0:
             if hsize == 0:
@@ -266,6 +263,7 @@ def run_full(regs, st, prune, max_rounds, big_load):
             if 2 * (pend[b] - pbeg[b]) > shi - slo:
                 status = STATUS_SPLITTER_SIZE
                 break
+            nx = rounds + 1
             if nx >= xcap:
                 status = STATUS_XPART_CAP
                 break
@@ -273,13 +271,11 @@ def run_full(regs, st, prune, max_rounds, big_load):
             xend[nx] = pend[b]
             xcnt[nx] = 1
             xof[b] = nx
-            nx += 1
             xcnt[s] -= 1
             # S is the heap root: pop it once simple, sift its new key down
             # when B was first, else its key stands
             key = -1
             if xcnt[s] < 2:
-                ncomp -= 1
                 hsize -= 1
                 key = heap[hsize]
             elif bfirst == 1:
@@ -308,14 +304,11 @@ def run_full(regs, st, prune, max_rounds, big_load):
                     i += 1
                 if load >= big_load:
                     break
-        gen += 1
+        gen = rounds + 1
         nxs = 0
         for i in range(pbeg[b], pend[b]):
             y = elems[i]
-            c = splitcnt[y] + 1
-            splitcnt[y] = c
-            if c > maxsplit:
-                maxsplit = c
+            splitcnt[y] += 1
             base = out_ptr[y]
             for j in range(base, base + out_len[y]):
                 e = out_lst[j]
@@ -383,14 +376,10 @@ def run_full(regs, st, prune, max_rounds, big_load):
                     break
                 move = d11
                 nmove = n11
-            ntouched = 0
             for i in range(nmove):
                 x = move[i]
                 p = partof[x]
                 k = moved_cnt[p]
-                if k == 0:
-                    touched[ntouched] = p
-                    ntouched += 1
                 moved_cnt[p] = k + 1
                 if bfirst == 1:
                     tgt = pbeg[p] + k
@@ -402,9 +391,13 @@ def run_full(regs, st, prune, max_rounds, big_load):
                 elems[px] = y
                 pos[x] = tgt
                 pos[y] = px
-            for t in range(ntouched):
-                p = touched[t]
+            # a part splits at its first moved state; its later ones sit in
+            # the new part or in a part that moved whole, and both count 0
+            for i in range(nmove):
+                p = partof[move[i]]
                 k = moved_cnt[p]
+                if k == 0:
+                    continue
                 moved_cnt[p] = 0
                 lo = pbeg[p]
                 hi = pend[p]
@@ -439,11 +432,9 @@ def run_full(regs, st, prune, max_rounds, big_load):
                         break
                     _sift_up(heap, hsize, xbeg[xp] * xcap + xp)
                     hsize += 1
-                    ncomp += 1
         rounds += 1
         s = -1
-    regs[R_GEN], regs[R_FREETOP], regs[R_NREC], regs[R_HSIZE] = gen, ftop, nrec, hsize
-    regs[R_NX], regs[R_NPARTS], regs[R_NCOMP] = nx, nparts, ncomp
-    regs[R_ROUNDS], regs[R_MAXSPLIT], regs[R_STATUS] = rounds, maxsplit, status
+    regs[R_FREETOP], regs[R_NREC], regs[R_HSIZE], regs[R_NPARTS] = ftop, nrec, hsize, nparts
+    regs[R_ROUNDS], regs[R_STATUS] = rounds, status
     regs[R_SPART], regs[R_BPART], regs[R_BFIRST] = s, b, bfirst
-    regs[R_NXS], regs[R_N12], regs[R_N11] = nxs, n12, n11
+    regs[R_NXS], regs[R_N12] = nxs, n12

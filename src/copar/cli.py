@@ -41,8 +41,11 @@ DEFAULT_SEED = 1729
 
 def _read(path: str) -> str:
     """The UTF-8 text of a file, or of stdin for "-"; a byte that does not
-    decode raises a ParseError naming its line."""
+    decode raises a ParseError naming its line, and a closed stdin an
+    OSError."""
     if path == "-":
+        if sys.stdin is None:
+            raise OSError("stdin is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
@@ -57,7 +60,11 @@ def _read(path: str) -> str:
 
 
 def _write(path: str | None, text: str) -> None:
+    """Write text to a file, or to stdout for None or "-"; a closed stdout
+    raises an OSError."""
     if path is None or path == "-":
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ views of these arrays into one copar._kernels.Engine record for the one
 kernel, run_full, which runs every kernel round: to the fixpoint for
 run_refinement, and one round per call for Refinement.step. A step returns
 only whether it ran, since the arrays hold the rest: its new parts take the
-ids from NPARTS on, its splitter is the newest X-part and its deleted edges
+ids from NPARTS on, its splitter is X-part ROUNDS and its deleted edges
 join deleted_edge_ids().
 
 A refinement runs plain or pruning, as chosen when it is built: pruning
@@ -135,17 +135,14 @@ class Refinement:
         self.d11 = np.zeros(n, dtype=np.int64)
         self.xrec = np.zeros(n, dtype=np.int64)
         self.moved_cnt = np.zeros(pcap, dtype=np.int64)
-        self.touched = np.zeros(pcap, dtype=np.int64)
 
         regs = np.zeros(K.NREGS, dtype=np.int64)
         regs[K.R_NPARTS] = nparts
-        regs[K.R_NX] = 1
         regs[K.R_NREC] = n
         regs[K.R_SPART] = -1  # no splitter pending
         self.regs = regs
         if nparts >= 2:
             K._heap_push(self.heap, regs, 0)  # X-part 0 at begin 0
-            regs[K.R_NCOMP] = 1
         # The kernels take these views, never the arrays: the attributes
         # above stay numpy and see every write the kernels make.
         self._kregs = K.kernel_view(regs)
@@ -156,9 +153,9 @@ class Refinement:
 
     @property
     def done(self) -> bool:
-        """True when the partition equals its own X cover (no compound
-        X-part) and no splitter is pending."""
-        return int(self.regs[K.R_NCOMP]) == 0 and int(self.regs[K.R_SPART]) < 0
+        """True when the partition equals its own X cover (the heap of
+        compound X-parts is empty) and no splitter is pending."""
+        return int(self.regs[K.R_HSIZE]) == 0 and int(self.regs[K.R_SPART]) < 0
 
     @property
     def rounds(self) -> int:
@@ -166,8 +163,9 @@ class Refinement:
 
     @property
     def max_splitter_count(self) -> int:
-        """Largest number of times any single state served inside a splitter."""
-        return int(self.regs[K.R_MAXSPLIT])
+        """Largest number of times any single state served inside a
+        splitter: the maximum of splitcnt, computed on each read."""
+        return int(self.splitcnt.max(initial=0))
 
     def step(self) -> bool:
         """Run one kernel round and return True; once done, change nothing
@@ -240,7 +238,9 @@ class Refinement:
         for (_, hi, _), (lo2, _, _) in zip(spans, spans[1:]):
             assert hi == lo2, "part spans overlap or leave gaps"
         alive_x = sorted({int(self.xof[p]) for p in alive_parts})
-        ncomp = 0
+        # round r makes X-part r; a pending splitter already has the next id
+        nx = self.rounds + 1 + (int(self.regs[K.R_SPART]) >= 0)
+        assert alive_x == list(range(nx)), "X-part ids in use are not 0..ROUNDS (+1 while pending)"
         for x in alive_x:
             members = [p for p in alive_parts if int(self.xof[p]) == x]
             lo = min(int(self.pbeg[p]) for p in members)
@@ -249,9 +249,6 @@ class Refinement:
             assert int(self.xcnt[x]) == len(members), f"X-part {x} count mismatch"
             covered = sum(int(self.pend[p]) - int(self.pbeg[p]) for p in members)
             assert covered == hi - lo, f"X-part {x} is not a contiguous union of parts"
-            if len(members) >= 2:
-                ncomp += 1
-        assert ncomp == int(self.regs[K.R_NCOMP]), "compound X-part counter out of sync"
         heap = [int(k) for k in self.heap[: int(self.regs[K.R_HSIZE])]]
         assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap))), "heap order breached"
         assert sorted(heap) == sorted(
@@ -383,17 +380,14 @@ def _numpy_round(ref: Refinement) -> None:
     r = ref.regs
     elems, edst, cnt_ref, cnt_val = ref.elems, ref.edst, ref.cnt_ref, ref.cnt_val
     seen_gen, xrec, xs, free_stk = ref.seen_gen, ref.xrec, ref.xs, ref.free_stk
-    r[K.R_GEN] += 1
-    g = int(r[K.R_GEN])
+    g = int(r[K.R_ROUNDS]) + 1
     b = int(r[K.R_BPART])
-    maxsplit = int(r[K.R_MAXSPLIT])
     ftop = int(r[K.R_FREETOP])
     nrec = int(r[K.R_NREC])
     nxs = 0
     for s0 in range(int(ref.pbeg[b]), int(ref.pend[b]), blk):
         ys = elems[s0 : min(s0 + blk, int(ref.pend[b]))]
         ref.splitcnt[ys] += 1
-        maxsplit = max(maxsplit, int(ref.splitcnt[ys].max()))
         for _, j in _spans(ref.out_ptr[ys], ref.out_len[ys], blk):
             es = ref.out_lst[j]
             if not ref.prune:  # pruning runs mark no state ALONE
@@ -434,7 +428,6 @@ def _numpy_round(ref: Refinement) -> None:
             cnt_val[xrec[ux]] += cx
             cnt_ref[es] = xrec[xb]
             seen_gen[ux[freed]] = -g
-    r[K.R_MAXSPLIT] = maxsplit
     r[K.R_FREETOP] = ftop
     r[K.R_NREC] = nrec
     r[K.R_NXS] = nxs
@@ -448,7 +441,6 @@ def _numpy_round(ref: Refinement) -> None:
         n12 += two.size
         n11 += one.size
     r[K.R_N12] = n12
-    r[K.R_N11] = n11
     bfirst = bool(r[K.R_BFIRST])
     if ref.prune:
         r[K.R_FREETOP] = _numpy_prune(ref, ref.d11[:n11], bfirst, b, int(r[K.R_SPART]), ftop)
@@ -531,8 +523,8 @@ def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
     blk = NUMPY_ROUND_BLOCK
     r = ref.regs
     elems, pos, partof, pbeg, pend = ref.elems, ref.pos, ref.partof, ref.pbeg, ref.pend
-    moved_cnt, touched = ref.moved_cnt, ref.touched
-    ntouched = 0
+    moved_cnt = ref.moved_cnt
+    touched = []  # per block, the parts it touched first, in first-touch order
     for i0 in range(0, move.size, blk):
         xm = move[i0 : i0 + blk]
         p = partof[xm]
@@ -542,13 +534,10 @@ def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
         up = p[order[starts]]
         k0 = moved_cnt[up]
         fresh = k0 == 0  # first touched in this block, in first-touch order
-        tp = up[fresh][np.argsort(order[starts][fresh])]
-        touched[ntouched : ntouched + tp.size] = tp
-        ntouched += tp.size
+        touched.append(up[fresh][np.argsort(order[starts][fresh])])
         moved_cnt[up] = k0 + cnt
         _swap_into(elems, pos, xm[order], starts, cnt, pbeg[up] + k0 if to_front else pend[up] - k0 - cnt)
-    for t0 in range(0, ntouched, blk):
-        tp = touched[t0 : min(t0 + blk, ntouched)]
+    for tp in touched:
         k = moved_cnt[tp]
         moved_cnt[tp] = 0
         split = k != pend[tp] - pbeg[tp]
@@ -579,4 +568,3 @@ def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
         np.add.at(ref.xcnt, xp, 1)
         for x in compound:
             K._heap_push(ref._st.heap, ref._kregs, int(ref.xbeg[x]) * ref.xbeg.shape[0] + x)
-        r[K.R_NCOMP] += len(compound)

@@ -142,6 +142,14 @@ def test_exit_code_3_on_parse_and_io_errors(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stream", ["stdin", "stdout"])
+def test_exit_code_3_on_a_closed_stdin_or_stdout(stream, loop_path, capsys, monkeypatch):
+    """A run started with stdin or stdout closed (0<&-, >&-) finds None there."""
+    monkeypatch.setattr(cli.sys, stream, None)
+    assert cli.main(["sort", "-" if stream == "stdin" else loop_path]) == 3
+    assert capsys.readouterr().err == f"i/o error: {stream} is closed\n"
+
+
 @pytest.mark.parametrize(
     "data,line",
     [

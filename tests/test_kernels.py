@@ -194,7 +194,7 @@ def test_checker_rejects_constructs_outside_the_subset():
         "x = lambda: 1",
         "def inner():\n    return 1",
         "yield 1",
-        "global R_GEN",
+        "global R_ROUNDS",
         "_heap_push(heap=regs, regs=regs, key=1)",
         "_heap_push(*regs)",
         "x = len(regs)",
@@ -217,7 +217,7 @@ def test_checker_rejects_constructs_outside_the_subset():
         assert violations(fn), snippet
     ok = ast.parse(
         "@njit(cache=True)\ndef k(regs, st, heap):\n    '''doc'''\n"
-        "    a, b = regs[R_GEN], -heap.shape[0]\n    h = st.heap\n    regs[R_GEN] += h[0]\n"
+        "    a, b = regs[R_ROUNDS], -heap.shape[0]\n    h = st.heap\n    regs[R_ROUNDS] += h[0]\n"
         "    for i in range(a):\n        if i > b and not a or i == 1:\n            break\n"
         "    _heap_push(heap, regs, a // 2)\n    return a\n"
     ).body[0]

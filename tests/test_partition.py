@@ -143,7 +143,7 @@ def test_done_waits_for_a_pending_splitter():
     ref.step()
     ref.step()
     K.run_full(ref._kregs, ref._st, 0, ref.rounds + 1, 1)
-    assert ref.regs[K.R_SPART] >= 0 and ref.regs[K.R_NCOMP] == 0
+    assert ref.regs[K.R_SPART] >= 0 and ref.regs[K.R_HSIZE] == 0
     assert not ref.done
     assert ref.step() and ref.rounds == 3
     assert ref.done and not ref.step()
@@ -226,6 +226,19 @@ def test_invariant_scan_sees_a_bad_marker_or_heap():
     ref.heap[hsize] = ref.heap[hsize - 1]
     ref.regs[K.R_HSIZE] = hsize + 1
     with pytest.raises(AssertionError, match="compound X-part once"):
+        ref.check_invariants()
+
+
+def test_invariant_scan_sees_a_bad_xpart_id():
+    """The X-part ids in use are 0..ROUNDS, and ROUNDS + 1 while a splitter
+    is pending; a part moved to the next id breaks that."""
+    ref = init_refinement(gen_random_nfa(12, 2, 1))
+    ref.step()
+    ref.step()
+    ref.check_invariants()
+    p = int(ref.partof[0])
+    ref.xof[p] = ref.rounds + 1
+    with pytest.raises(AssertionError, match="X-part ids in use"):
         ref.check_invariants()
 
 
@@ -438,7 +451,7 @@ def test_stepping_matches_one_run_full_call(kind, mode, order):
             for f in K.Engine._fields:
                 assert np.array_equal(getattr(stepped, f), getattr(one, f)), (k, f)
             r = one.regs
-            reached = np.append(one.d12[: r[K.R_N12]], one.d11[: r[K.R_N11]])
+            reached = np.append(one.d12[: r[K.R_N12]], one.d11[: r[K.R_NXS] - r[K.R_N12]])
             assert np.array_equal(np.sort(one.xs[: r[K.R_NXS]]), np.sort(reached)), k
             if not more:
                 break
@@ -536,8 +549,9 @@ def test_numpy_round_leaves_the_kernel_state(kind, mode, blk, monkeypatch):
                       "xbeg", "xend", "xcnt", "heap", "moved_cnt"):
                 assert np.array_equal(getattr(got, f), getattr(want, f)), f
             r = got.regs
-            for f, reg in (("xs", K.R_NXS), ("d12", K.R_N12), ("d11", K.R_N11)):
-                assert np.array_equal(getattr(got, f)[: r[reg]], getattr(want, f)[: r[reg]]), f
+            nxs, n12 = r[K.R_NXS], r[K.R_N12]
+            for f, size in (("xs", nxs), ("d12", n12), ("d11", nxs - n12)):
+                assert np.array_equal(getattr(got, f)[:size], getattr(want, f)[:size]), f
             assert _parts_by_id(got) == _parts_by_id(want)
             assert np.array_equal(got.pos[got.elems], np.arange(got.n))
             assert _adjacency(got) == _adjacency(want)

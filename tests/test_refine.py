@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from copar.automaton import Automaton, ValidationError, path_dfa, reverse_automaton
+from copar.automaton import Automaton, ValidationError, make_input_consistent, path_dfa, reverse_automaton
 from copar.examples import example_quasi_wheeler_nfa, example_unordered_nfa
 from copar.generators import gen_random_dfa, gen_random_nfa, gen_wheeler_nfa
 from copar.oracle import (
@@ -15,6 +16,8 @@ from copar.oracle import (
     check_wheeler_order,
     naive_coarsest_forward_stable,
     naive_prefix_sort,
+    same_language,
+    same_reaching_strings,
 )
 from copar.partition import init_refinement, run_refinement
 from copar.refine import _identity_wheeler_check, refine_all, wheeler_preorder
@@ -52,6 +55,39 @@ def test_refine_all_matches_oracles_on_corpus():
         parts = {frozenset(p) for p in refine_all(a).parts}
         assert parts == naive_coarsest_forward_stable(a)
         assert parts == bisimilarity_partition(reverse_automaton(a))
+
+
+def test_equivalent_states_reach_the_same_strings():
+    """The paper's claim (1): the states of one part of the coarsest
+    forward-stable partition are reached by the same strings, so each state
+    keeps them in the quotient, which recognizes the same language. The
+    oracles determinize, sharing no code with the engine."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 10)
+        sigma = rng.randint(1, min(3, n - 1))
+        wheeler = gen_wheeler_nfa(n, rng.randint(n - 1, (sigma + 1) * (n - 1)), sigma, seed)
+        for a in (gen_random_nfa(n, sigma, seed), gen_random_dfa(n, sigma, seed), wheeler):
+            for part in refine_all(a).parts:
+                assert all(same_reaching_strings(a, a, u, v) for u, v in itertools.combinations(part, 2))
+            res = wheeler_preorder(a)
+            cls = res.partition.as_class_array()
+            assert all(same_reaching_strings(a, res.quotient, v, int(cls[v])) for v in range(n))
+            assert same_language(a, res.quotient)
+
+
+def test_making_the_input_consistent_keeps_the_language():
+    conflicts = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 10)
+        # a random NFA's edges under random letters: in-letters conflict
+        edges = [(u, v, rng.randrange(3)) for u, v, _ in gen_random_nfa(n, 1, seed).edges()]
+        a = Automaton(n, 3, 0, edges)
+        ic = make_input_consistent(a)[0]
+        conflicts += ic.n > n + 1
+        assert same_language(a, ic)
+    assert conflicts >= 20
 
 
 def test_identity_check_agrees_with_oracle_on_quotients():
