@@ -105,17 +105,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
         order = parse_order(_read(args.order))
         res = check_wheeler_order(a, order)
         if res:
-            print("PASS: order satisfies the Wheeler axioms")
+            _write(None, "PASS: order satisfies the Wheeler axioms\n")
             return 0
-        print(f"FAIL: {res.kind} {res.witness}")
+        _write(None, f"FAIL: {res.kind} {res.witness}\n")
         return 2
     text = _read(args.partition)
     lines = [ln for ln in text.splitlines() if not ln.startswith("QUASI_WHEELER:")]
     claimed = parse_ordered_partition("\n".join(lines) + "\n")
     if claimed == refine_all(a):
-        print("PASS: partition matches the refinement output")
+        _write(None, "PASS: partition matches the refinement output\n")
         return 0
-    print("FAIL: partition differs from the refinement output")
+    _write(None, "FAIL: partition differs from the refinement output\n")
     return 2
 
 

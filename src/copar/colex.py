@@ -7,6 +7,15 @@ Ranking all 2n of them together with prefix doubling yields per-state
 interval ends no later than the other's begins, and a greedy sweep packs
 the states into the minimum number of chains of that order. The chain
 count equals the order's width.
+
+The kept strings come from one of two paths with the same output. Policy
+iteration (_policy_ranks) reaches the prunings' fixpoint in numpy: it
+ranks the 2n walks of a choice of in-edges, switches each state to a
+strictly better in-neighbour, and stops once none switches, so its last
+ranking is the result. It runs on the pure-Python backend, capped at
+MAX_POLICY_ITERATIONS rankings. Past the cap, with numba kernels, or when
+refine_with_pruning is wrapped (a tracer must see both prunings), the two
+engine prunings of the paper run instead, which keep its O(m log n) bound.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from copar.automaton import (
     OrderedPartition,
     _int_text,
     _lines_text,
+    csr,
     sorted_runs,
 )
 from copar.prune import PrunedAutomaton, refine_with_pruning, require_dfa
@@ -42,6 +52,15 @@ from copar.prune import PrunedAutomaton, refine_with_pruning, require_dfa
 # backend's break-even, with faster prunings and a worker that would compile
 # its own kernels, is unmeasured, so there the prunings never fork.
 WORKER_MIN_EDGES = 1000
+
+# Most rankings colex_order's policy iteration runs before the engine
+# prunings take over and keep the O(m log n) bound. Howard's iteration on
+# this deterministic MDP (discount 1/(sigma + 2)) needs O(m log n)
+# iterations (Hansen, Miltersen and Zwick, J. ACM 2013); it took at most 5
+# on random DFAs with n <= 2001 and at most 9 on complete binary ones with
+# n <= 10^5, but the ladder of tests/test_colex_policy.py takes k + 1 with
+# about k^2 + 3k states.
+MAX_POLICY_ITERATIONS = 16
 
 
 @dataclass(frozen=True)
@@ -119,6 +138,52 @@ def _dense_rank(*cols: np.ndarray) -> tuple[np.ndarray, int]:
     return rank, int(np.count_nonzero(new))
 
 
+def _policy_ranks(a: Automaton) -> RankTable | None:
+    """The RankTable of the optimal inf and sup walks of the clean DFA a, by
+    policy iteration; None if MAX_POLICY_ITERATIONS rankings do not settle.
+
+    The policy is the merged graph's phi: one in-neighbour per non-source
+    copy. Each copy starts from its best in-neighbour by in-letter; each
+    iteration ranks the policy's 2n walks and moves every copy whose best
+    in-neighbour ranks strictly better (lower for an inf copy, higher for a
+    sup copy) to it, the smallest state id among equals. Every switch
+    strictly improves its walk; once none does, every edge meets the
+    Bellman conditions, so each walk is the optimal one and spells the
+    same string as the engine pruning's kept walk. Equal strings rank
+    alike, so the last ranking, its rounds included, is the one
+    build_merged_graph's graph gives.
+    """
+    n = a.n
+    lam = a.in_labels()
+    letters = np.concatenate((lam, lam))
+    # in-edges of both copies grouped by target, the inf copies' first
+    rows, start, degree = csr(a.edst, n)
+    src, dst = a.esrc[rows], a.edst[rows]
+    msrc, mdst = np.concatenate((src, src + n)), np.concatenate((dst, dst + n))
+    v = np.flatnonzero(degree)  # every state but the source
+    targets, first = np.concatenate((v, v + n)), np.concatenate((start[v], start[v] + a.m))
+    phi = np.arange(2 * n)  # the source copies loop on themselves
+
+    def improve(key: np.ndarray, cur: np.ndarray) -> bool:
+        """Move each copy whose least in-neighbour key is below its cur to
+        the smallest in-neighbour with that key; whether any moved."""
+        val, best = key[msrc], cur.copy()
+        best[targets] = np.minimum.reduceat(val, first)
+        take = (best < cur)[mdst] & (val == best[mdst])
+        phi[mdst[take]] = 2 * n
+        np.minimum.at(phi, mdst[take], msrc[take])
+        return bool(take.any())
+
+    # lower keys are better on both sides: the sup copies negate theirs
+    improve(np.concatenate((lam, -lam)), np.full(2 * n, a.sigma + 1))
+    for _ in range(MAX_POLICY_ITERATIONS):
+        table = suffix_doubling_ranks(MergedGraph(n=n, letters=letters, phi=phi))
+        key = np.concatenate((table.ranks[:n], -table.ranks[n:]))
+        if not improve(key, key[phi]):
+            return table
+    return None
+
+
 def min_chain_partition(inf_rank: np.ndarray, sup_rank: np.ndarray) -> list[list[int]]:
     """Partition the states into the fewest chains of the interval order.
 
@@ -185,15 +250,20 @@ class ColexResult:
 def colex_order(a: Automaton) -> ColexResult:
     """Compute the smallest-width co-lex order of a DFA.
 
-    Runs both prunings, ranks the 2n kept strings jointly, and covers the
+    Finds the kept strings, ranks the 2n of them jointly, and covers the
     states with the minimum number of chains. Raises ValueError on
     nondeterministic input and ValidationError on unclean automata.
 
-    The sup pruning runs in a forked worker, alongside the inf pruning in
-    this process, when a.m >= WORKER_MIN_EDGES, the kernels run as plain
-    Python (not numba), os.fork exists, the process may run on two or more
-    CPUs, no other Python thread runs and refine_with_pruning is not wrapped
-    (a tracer's wrapper must see both calls). The CPU count is the affinity
+    On the pure-Python backend, unless refine_with_pruning is wrapped (a
+    tracer's wrapper must see both calls), policy iteration finds and ranks
+    the kept strings. Past MAX_POLICY_ITERATIONS rankings, and always with
+    numba kernels, the engine prunings find them instead.
+
+    The engine's sup pruning runs in a forked worker, alongside the inf
+    pruning in this process, when a.m >= WORKER_MIN_EDGES, the kernels run
+    as plain Python (not numba), os.fork exists, the process may run on two
+    or more CPUs, no other Python thread runs and refine_with_pruning is not
+    wrapped. The CPU count is the affinity
     mask's: a cgroup CPU quota is not seen, so under a one-CPU quota the
     worker still runs and the two prunings take turns. The worker pickles
     its result back over a pipe. Both pruning engines are then alive at
@@ -203,9 +273,10 @@ def colex_order(a: Automaton) -> ColexResult:
     and outputs are those of the in-process path.
     """
     require_dfa(a)
-    inf_p, sup_p = _prunings(a)
-    g = build_merged_graph(inf_p, sup_p)
-    table = suffix_doubling_ranks(g)
+    fast = not HAVE_NUMBA and refine_with_pruning is prune.refine_with_pruning
+    table = _policy_ranks(a) if fast else None
+    if table is None:
+        table = suffix_doubling_ranks(build_merged_graph(*_prunings(a)))
     inf_rank = table.ranks[: a.n].copy()
     sup_rank = table.ranks[a.n :].copy()
     if int(inf_rank[a.source]) != 0 or int(sup_rank[a.source]) != 0:

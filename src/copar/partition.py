@@ -268,17 +268,20 @@ class Refinement:
         if self.prune:
             dead = self.deleted_edge_ids()
             assert sorted(live + dead) == list(range(self.m)), "live and deleted edges do not partition 0..m-1"
+        # a pending splitter B is carved out of its X-part S but not yet split
+        # against: the records and the parts still see S and B as one X-part
+        group = {x: x for x in alive_x}
+        if int(self.regs[K.R_SPART]) >= 0:
+            group[int(self.xof[self.regs[K.R_BPART]])] = int(self.regs[K.R_SPART])
         # rounds skip marked states, so only the others keep exact records
         counted = [e for e in live if int(self.edst[e]) not in alone]
+        key = {e: (int(self.edst[e]), group[int(self.xof[self.partof[self.esrc[e]]])]) for e in counted}
         expected: dict[tuple[int, int], int] = {}
         for e in counted:
-            x = int(self.edst[e])
-            xp = int(self.xof[self.partof[self.esrc[e]]])
-            expected[(x, xp)] = expected.get((x, xp), 0) + 1
+            expected[key[e]] = expected.get(key[e], 0) + 1
         rec_of: dict[tuple[int, int], int] = {}
         for e in counted:
-            x = int(self.edst[e])
-            xp = int(self.xof[self.partof[self.esrc[e]]])
+            x, xp = key[e]
             r = int(self.cnt_ref[e])
             if (x, xp) in rec_of:
                 assert rec_of[(x, xp)] == r, f"edges of ({x}, X{xp}) use distinct records"
@@ -288,8 +291,13 @@ class Refinement:
             )
         assert len(set(rec_of.values())) == len(rec_of), "distinct groups share a count record"
 
-        for x in alive_x:
-            sources = set(int(v) for v in self.elems[int(self.xbeg[x]) : int(self.xend[x])])
+        for x in sorted(set(group.values())):
+            sources = {
+                int(v)
+                for y in alive_x
+                if group[y] == x
+                for v in self.elems[int(self.xbeg[y]) : int(self.xend[y])]
+            }
             reached = {int(self.edst[e]) for e in live if int(self.esrc[e]) in sources}
             for p in alive_parts:
                 members = set(int(v) for v in self.elems[int(self.pbeg[p]) : int(self.pend[p])])

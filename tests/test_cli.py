@@ -143,11 +143,18 @@ def test_exit_code_3_on_parse_and_io_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("stream", ["stdin", "stdout"])
-def test_exit_code_3_on_a_closed_stdin_or_stdout(stream, loop_path, capsys, monkeypatch):
-    """A run started with stdin or stdout closed (0<&-, >&-) finds None there."""
+def test_exit_code_3_on_a_closed_stdin_or_stdout(stream, loop_path, tmp_path, capsys, monkeypatch):
+    """A run started with stdin or stdout closed (0<&-, >&-) finds None there;
+    check's PASS and FAIL verdicts go to stdout as well."""
     monkeypatch.setattr(cli.sys, stream, None)
     assert cli.main(["sort", "-" if stream == "stdin" else loop_path]) == 3
     assert capsys.readouterr().err == f"i/o error: {stream} is closed\n"
+    good, bad = tmp_path / "loop.ord", tmp_path / "bad.order"
+    good.write_text("ORDPART 3\n0: 0\n1: 2\n2: 1\nQUASI_WHEELER: true\n")
+    bad.write_text(serialize_order([0, 1, 2]))
+    for claim in (["--partition", str(good)], ["--order", str(bad)]):
+        assert cli.main(["check", "-" if stream == "stdin" else loop_path, *claim]) == 3
+        assert capsys.readouterr().err == f"i/o error: {stream} is closed\n"
 
 
 @pytest.mark.parametrize(

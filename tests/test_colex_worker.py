@@ -1,6 +1,8 @@
 """colex_order's forked sup worker: same answers as the in-process path,
 taken only where it pays, and a failed worker changes nothing the caller
-sees. Every test leaves no child process behind."""
+sees. The worker serves only the engine prunings, colex_order's fallback
+from policy iteration, so every test caps policy iteration at 0 rankings.
+Every test leaves no child process behind."""
 
 from __future__ import annotations
 
@@ -43,6 +45,11 @@ def forks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(colex, "HAVE_NUMBA", False)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def engine_prunings(monkeypatch):
+    monkeypatch.setattr(colex, "MAX_POLICY_ITERATIONS", 0)
 
 
 @pytest.fixture(autouse=True)
@@ -175,6 +182,7 @@ def test_colex_stdout_equals_the_output_file(tmp_path):
         "os.fork = fork\n"
         "import copar.colex\n"
         "copar.colex.HAVE_NUMBA = False\n"
+        "copar.colex.MAX_POLICY_ITERATIONS = 0\n"
         "from copar.cli import main\n"
         "sys.stdout.write('# buffered\\n')\n"
         "raise SystemExit(main(sys.argv[1:]))\n"

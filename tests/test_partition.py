@@ -242,6 +242,44 @@ def test_invariant_scan_sees_a_bad_xpart_id():
         ref.check_invariants()
 
 
+def _swap_states(ref: Refinement, u: int, v: int) -> None:
+    """Exchange two states' places in the state sequence, and so their parts."""
+    i, j = int(ref.pos[u]), int(ref.pos[v])
+    ref.elems[i], ref.elems[j] = v, u
+    ref.pos[u], ref.pos[v] = j, i
+    ref.partof[[u, v]] = ref.partof[[v, u]]
+
+
+def test_invariant_scan_takes_a_pending_splitter_with_its_remainder():
+    """A pending splitter B is carved out of its X-part S, but nothing is
+    split against it yet: the parts are stable against S and B together,
+    not against each alone. The scan used to raise "part 1 is unstable
+    against X-part 0" on the first case, and it still sees a part that S
+    and B together split."""
+    ref = init_refinement(gen_random_nfa(12, 2, 1))
+    ref.step()
+    assert _select(ref) is not None
+    ref.check_invariants()
+    for seed in range(6):
+        for prune_mode in (False, True):
+            ref = init_refinement(gen_random_dfa(15, 2, seed), prune=prune_mode)
+            while _select(ref) is not None:
+                ref.check_invariants()
+                ref.step()
+    ref = init_refinement(gen_random_nfa(12, 2, 0))
+    ref.step()
+    ref.step()
+    assert _select(ref) is not None
+    ref.check_invariants()
+    s = int(ref.regs[K.R_SPART])
+    # 7 and 8 share an X-part but not a part, and only S and B together
+    # reach one of them and not the other
+    assert ref.partof[7] != ref.partof[8] and ref.xof[ref.partof[7]] == ref.xof[ref.partof[8]]
+    _swap_states(ref, 7, 8)
+    with pytest.raises(AssertionError, match=f"unstable against X-part {s}$"):
+        ref.check_invariants()
+
+
 def test_splitter_members_never_exceed_half_of_span():
     for seed in range(25):
         a = gen_random_nfa(random.Random(seed).randint(2, 20), 2, seed)
