@@ -187,6 +187,42 @@ def sorted_runs(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
+def _dense_rank(*cols: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense rank of each row among the distinct rows of cols, and their number."""
+    order, new = sorted_runs(*cols)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, int(np.count_nonzero(new))
+
+
+def doubling_ranks(letters: np.ndarray, phi: np.ndarray, extra_rounds: int = 0) -> tuple[np.ndarray, int]:
+    """Dense ranks of the nodes of the functional graph phi by their backward
+    walks, and the rounds run; prefix doubling (Manber and Myers, SIAM J.
+    Comput. 1993).
+
+    Node x's walk spells letters[x], letters[phi[x]], ...; walks compare
+    lexicographically. Round zero ranks by letter alone; each round then
+    compares twice as many letters by pairing every node's rank with the
+    rank at the end of its current hop and re-ranking densely.
+    ceil(log2(size)) rounds saturate, but they stop after the first that
+    adds no distinct rank: if walks of length 2L split no class of length
+    L, by Moore's argument no longer walk does. extra_rounds = k > 0 runs
+    all k + ceil(log2(size)).
+    """
+    if extra_rounds < 0:
+        raise ValueError(f"extra_rounds must be at least 0, got {extra_rounds}")
+    rank, classes = _dense_rank(letters)
+    phik = phi.astype(np.int64)
+    rounds = 0
+    for rounds in range(1, (int(letters.size) - 1).bit_length() + extra_rounds + 1):
+        before = classes
+        rank, classes = _dense_rank(rank, rank[phik])
+        if classes == before and not extra_rounds:
+            break
+        phik = phik[phik]
+    return rank, rounds
+
+
 def _rows_increase(*cols: np.ndarray) -> bool:
     """True when every row is lexicographically greater than the row before
     it, the first column most significant: an O(m) test for sorted, distinct

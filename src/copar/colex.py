@@ -37,7 +37,7 @@ from copar.automaton import (
     _int_text,
     _lines_text,
     csr,
-    sorted_runs,
+    doubling_ranks,
 )
 from copar.prune import PrunedAutomaton, refine_with_pruning, require_dfa
 
@@ -107,35 +107,11 @@ def build_merged_graph(inf_p: PrunedAutomaton, sup_p: PrunedAutomaton) -> Merged
 
 
 def suffix_doubling_ranks(g: MergedGraph, extra_rounds: int = 0) -> RankTable:
-    """Rank the merged nodes by their backward walks, co-lex style.
-
-    Round zero ranks by in-letter alone; each round then compares twice as
-    many trailing letters by pairing every node's rank with the rank at the
-    end of its current hop and re-ranking densely. ceil(log2(2n)) rounds
-    saturate, but they stop after the first that adds no distinct rank: if
-    walks of length 2L split no class of length L, by Moore's argument no
-    longer walk does. extra_rounds = k > 0 runs all k + ceil(log2(2n)).
-    """
-    if extra_rounds < 0:
-        raise ValueError(f"extra_rounds must be at least 0, got {extra_rounds}")
-    rank, classes = _dense_rank(g.letters)
-    phik = g.phi.astype(np.int64)
-    rounds = 0
-    for rounds in range(1, (int(g.letters.size) - 1).bit_length() + extra_rounds + 1):
-        before = classes
-        rank, classes = _dense_rank(rank, rank[phik])
-        if classes == before and not extra_rounds:
-            break
-        phik = phik[phik]
-    return RankTable(ranks=rank, rounds=rounds)
-
-
-def _dense_rank(*cols: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense rank of each row among the distinct rows of cols, and their number."""
-    order, new = sorted_runs(*cols)
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return rank, int(np.count_nonzero(new))
+    """Rank the merged nodes by their backward walks, co-lex style, with
+    automaton.doubling_ranks: at most ceil(log2(2n)) + extra_rounds rounds,
+    stopping after the first that adds no rank when extra_rounds is 0."""
+    ranks, rounds = doubling_ranks(g.letters, g.phi, extra_rounds)
+    return RankTable(ranks=ranks, rounds=rounds)
 
 
 def _policy_ranks(a: Automaton) -> RankTable | None:

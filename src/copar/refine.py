@@ -1,4 +1,16 @@
-"""Full refinement runs: coarsest forward-stable partition, Wheeler preorder."""
+"""Full refinement runs: coarsest forward-stable partition, Wheeler preorder.
+
+refine_all always runs the partition refinement engine. wheeler_preorder,
+the path of `copar sort`, ranks a tree (a path or a trie: every state but
+the source has one in-edge) by prefix doubling instead, on the
+pure-Python backend when run_refinement is not wrapped (a tracer must see
+the engine run); numba's break-even is unmeasured, so there the engine
+runs. Two states of a tree are backward-bisimilar exactly when they read
+the same string, so the classes of equal reaching strings are the
+coarsest forward-stable partition; their quotient is a deterministic trie,
+so the flag is true, and then the engine's part order is the co-lex one:
+both paths give the same bytes.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from copar import partition
+from copar._kernels import HAVE_NUMBA
 from copar.automaton import (
     Automaton,
     Diagnostic,
     OrderedPartition,
     ValidationError,
+    doubling_ranks,
     quotient,
     sorted_runs,
     validate,
@@ -24,7 +39,9 @@ class WheelerPreorder:
 
     The quotient's state order (identity) is the candidate Wheeler order;
     quasi_wheeler reports whether it satisfies the Wheeler axioms, with the
-    first violation when it does not.
+    first violation when it does not. rounds and max_splitter_count are the
+    engine's; both are 0 when prefix doubling sorted a tree and no engine
+    ran.
     """
 
     partition: OrderedPartition
@@ -77,23 +94,48 @@ def refine_all(a: Automaton) -> OrderedPartition:
 
 
 def wheeler_preorder(a: Automaton) -> WheelerPreorder:
-    """Sort an NFA: Wheeler preorder, quotient automaton and quasi-Wheeler flag."""
+    """Sort an NFA: Wheeler preorder, quotient automaton and quasi-Wheeler flag.
+
+    Trees take _tree_partition where the module docstring says. A clean
+    input has no edge into the source and an in-edge into every other
+    state, so a.m == a.n - 1 is the whole test for a tree.
+    """
     require_clean(a)
-    ref = init_refinement(a, "ascending")
-    run_refinement(ref)
-    partition = ref.snapshot_partition()
-    rounds, max_splitter_count = ref.rounds, ref.max_splitter_count
-    del ref  # free the engine's arrays before the quotient sorts the edges
-    q = quotient(a, partition)
+    if a.m == a.n - 1 and not HAVE_NUMBA and run_refinement is partition.run_refinement:
+        p = _tree_partition(a)
+        rounds = max_splitter_count = 0
+    else:
+        ref = init_refinement(a, "ascending")
+        run_refinement(ref)
+        p = ref.snapshot_partition()
+        rounds, max_splitter_count = ref.rounds, ref.max_splitter_count
+        del ref  # free the engine's arrays before the quotient sorts the edges
+    q = quotient(a, p)
     ok, violation = _identity_wheeler_check(q)
     return WheelerPreorder(
-        partition=partition,
+        partition=p,
         quotient=q,
         quasi_wheeler=ok,
         violation=violation,
         rounds=rounds,
         max_splitter_count=max_splitter_count,
     )
+
+
+def _tree_partition(a: Automaton) -> OrderedPartition:
+    """The states of the tree a grouped by reaching string, in co-lex order.
+
+    Each state walks back to its parent and the source loops on letter -1,
+    so doubling_ranks compares the reaching strings read backward, padded
+    with a letter below every other: O(n log^2 n), at most ceil(log2 n)
+    rounds.
+    """
+    phi = np.empty(a.n, dtype=np.int64)
+    phi[a.edst] = a.esrc
+    phi[a.source] = a.source
+    rank, _ = doubling_ranks(a.in_labels(), phi)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+    return OrderedPartition.from_arrays(np.argsort(rank, kind="stable"), starts)
 
 
 def _identity_wheeler_check(a: Automaton) -> tuple[bool, tuple | None]:

@@ -103,6 +103,24 @@ def test_check_partition_accepts_sort_output(loop_path, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_partition_accepts_sort_output_of_a_sturmian_path(tmp_path, capsys, monkeypatch):
+    """`copar sort` ranks a path by prefix doubling on the pure-Python
+    backend and `copar check --partition` reruns the engine, so the two
+    paths meet at n = 2 * 10^4."""
+    monkeypatch.setattr(refine, "HAVE_NUMBA", False)
+    n = 20_000
+    word, prev = [0], [1]
+    while len(word) < n - 1:
+        word, prev = word * 2 + prev, word
+    nfa = tmp_path / "sturmian.nfa"
+    nfa.write_text(serialize_automaton(automaton.path_dfa(word[: n - 1])))
+    part = tmp_path / "sorted.ordpart"
+    assert cli.main(["sort", str(nfa), "-o", str(part)]) == 0
+    assert part.read_text().startswith(f"ORDPART {n}\n")
+    assert cli.main(["check", str(nfa), "--partition", str(part)]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
 def test_gen_wheeler_is_seeded(capsys):
     assert cli.main(["gen", "--wheeler", "-n", "6", "--sigma", "2"]) == 0
     first = capsys.readouterr().out

@@ -10,12 +10,14 @@ kernel.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from copar import _kernels as K
-from copar import partition
-from copar.automaton import Automaton
+from copar import partition, refine
+from copar.automaton import Automaton, path_dfa
 from copar.colex import colex_order
 from copar.generators import gen_random_dfa, gen_random_nfa, gen_wheeler_nfa
 from copar.refine import wheeler_preorder
@@ -60,3 +62,20 @@ def test_relabelled_sort_and_colex_answer_the_same(seed, numpy_rounds):
     assert np.array_equal(cb.sup_rank[perm], ca.sup_rank)
     assert cb.width == ca.width
     assert numpy_rounds or K.HAVE_NUMBA
+
+
+def test_relabelled_sturmian_path_sorts_the_same_at_n_1e5(monkeypatch):
+    """A path takes wheeler_preorder's prefix doubling on the pure-Python
+    backend; shuffling its ids moves the source off state 0."""
+    monkeypatch.setattr(refine, "HAVE_NUMBA", False)
+    rng = random.Random(10**5)
+    word, prev = [0], [1]
+    while len(word) < 10**5 - 1:
+        word, prev = word * rng.randint(1, 3) + prev, word
+    a = path_dfa(word[: 10**5 - 1])
+    perm = np.random.default_rng(0).permutation(a.n)
+    b = _relabel(a, perm)
+    assert b.source != 0
+    ra, rb = wheeler_preorder(a), wheeler_preorder(b)
+    assert ra.rounds == rb.rounds == 0  # no engine ran
+    assert rb.partition.parts == [sorted(perm[part].tolist()) for part in ra.partition.parts]
