@@ -458,8 +458,11 @@ def _lines_text(members: np.ndarray, starts: np.ndarray, numbered: bool = False)
 def serialize_automaton(a: Automaton, comment: str | None = None) -> str:
     """Render the NFA text format with edges sorted by (from, to, letter)."""
     head = f"# {comment}\n" if comment else ""
-    o = a._canonical_order()
-    edges = np.stack((a.esrc[o], a.edst[o], a.elab[o]), axis=1)
+    cols = (a.esrc, a.edst, a.elab)
+    if a.m and not _rows_increase(*cols):
+        o = a._canonical_order()
+        cols = tuple(c[o] for c in cols)
+    edges = np.stack(cols, axis=1)
     return head + f"NFA {a.n} {a.m} {a.source} {a.sigma}\n" + _int_text(edges, _ROW_SEPS)
 
 

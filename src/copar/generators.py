@@ -6,8 +6,9 @@ no in-edges at the source, one in-letter per state, every letter used.
 
 from __future__ import annotations
 
-import bisect
 import random
+
+import numpy as np
 
 from copar.automaton import Automaton
 
@@ -23,6 +24,28 @@ def _check_sigma(n: int, sigma: int) -> None:
         )
 
 
+def _skip_unit_draws(rng: random.Random, count: int) -> None:
+    """Advance rng as count calls of rng.randint(x, x) would.
+
+    In CPython, randint(x, x) is _randbelow(1): it draws 32-bit words until
+    one has its top bit clear. Each call takes at least one word, so the
+    next count words all belong to the count calls; getrandbits(32 * count)
+    draws them at once, little-endian in draw order, and each clear word
+    among them ends one call.
+    """
+    while count > 0:
+        words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        count -= int(np.count_nonzero(np.frombuffer(words, dtype="<u4") < 1 << 31))
+
+
+def _from_columns(n: int, sigma: int, src, dst, lab) -> Automaton:
+    """The automaton with source 0 on these edge columns, rows sorted by
+    (from, to, letter)."""
+    src, dst, lab = (np.asarray(col, dtype=np.int64) for col in (src, dst, lab))
+    o = np.lexsort((lab, dst, src))
+    return Automaton(n, sigma, 0, (src[o], dst[o], lab[o]))
+
+
 def gen_wheeler_nfa(n: int, m: int, sigma: int, seed: int) -> Automaton:
     """Random NFA that is Wheeler under the identity order of its states.
 
@@ -33,6 +56,15 @@ def gen_wheeler_nfa(n: int, m: int, sigma: int, seed: int) -> Automaton:
     the block's last state), which preserves the per-letter source/target
     monotonicity. Feasible for n-1 >= sigma >= 1 and
     n-1 <= m <= (sigma+1)*(n-1).
+
+    The edges are a fixed function of the seed. Only the random draws run
+    in Python, in a fixed order: the rng.sample of the block cuts; per block
+    the backbone's first source and its rng.randint(prev, lo - 1) draws
+    while they stay below the block start lo; and one rng.sample of the
+    extra edges' slots. Once a backbone reaches lo - 1, each later source is
+    a forced randint(lo - 1, lo - 1), and _skip_unit_draws advances the
+    generator past all of them in a few getrandbits blocks. Slots, sources
+    and the edge sort are numpy passes.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -45,45 +77,44 @@ def gen_wheeler_nfa(n: int, m: int, sigma: int, seed: int) -> Automaton:
         )
     rng = random.Random(seed)
     cuts = sorted(rng.sample(range(2, n), sigma - 1))
-    bounds = [1] + cuts + [n]
+    bounds = np.array([1] + cuts + [n])
+    lows, sizes = bounds[:-1], np.diff(bounds)
 
-    def draw_backbone(force_zero: bool) -> list[list[int]]:
-        per_block = []
-        for c in range(sigma):
-            lo, hi = bounds[c], bounds[c + 1] - 1
+    def draw_backbone(force_zero: bool) -> np.ndarray:
+        # src[v - 1] is the backbone source of state v; a block's sources
+        # end at lo - 1 once a draw reaches it
+        src = np.repeat(lows - 1, sizes)
+        for lo, size in zip(lows.tolist(), sizes.tolist()):
             srcs = [0 if force_zero else rng.randint(0, lo - 1)]
-            for _ in range(lo + 1, hi + 1):
+            while len(srcs) < size and srcs[-1] < lo - 1:
                 srcs.append(rng.randint(srcs[-1], lo - 1))
-            per_block.append(srcs)
-        return per_block
+            _skip_unit_draws(rng, size - len(srcs))
+            src[lo - 1 : lo - 1 + len(srcs)] = srcs
+        return src
 
-    backbones = draw_backbone(False)
-    capacity = (n - 1) + sum(n - 1 - srcs[0] for srcs in backbones)
+    src = draw_backbone(False)
+    capacity = (n - 1) + sigma * (n - 1) - int(src[lows - 1].sum())
     if capacity < m:
-        backbones = draw_backbone(True)
+        src = draw_backbone(True)
 
-    edges: list[tuple[int, int, int]] = []
-    slot_prefix: list[int] = [0]
-    slot_base: list[int] = []
-    slot_target: list[int] = []
-    slot_letter: list[int] = []
-    for c in range(sigma):
-        lo, hi = bounds[c], bounds[c + 1] - 1
-        srcs = backbones[c]
-        for v, u in zip(range(lo, hi + 1), srcs):
-            edges.append((u, v, c))
-            top = srcs[v - lo + 1] if v < hi else n - 1
-            if top > u:
-                slot_prefix.append(slot_prefix[-1] + (top - u))
-                slot_base.append(u)
-                slot_target.append(v)
-                slot_letter.append(c)
-    extras = m - (n - 1)
-    for idx in rng.sample(range(slot_prefix[-1]), extras):
-        s = bisect.bisect_right(slot_prefix, idx) - 1
-        w = slot_base[s] + 1 + (idx - slot_prefix[s])
-        edges.append((w, slot_target[s], slot_letter[s]))
-    return Automaton(n, sigma, 0, sorted(edges))
+    # state v's slots are the sources above its backbone source and up to
+    # the next state's one, or up to n - 1 for a block's last state
+    top = np.append(src[1:], n - 1)
+    top[bounds[1:] - 2] = n - 1
+    width = top - src
+    slotted = np.flatnonzero(width > 0)
+    slot_prefix = np.concatenate(([0], np.cumsum(width[slotted])))
+    idx = np.array(rng.sample(range(int(slot_prefix[-1])), m - (n - 1)), dtype=np.int64)
+    s = np.searchsorted(slot_prefix, idx, side="right") - 1
+    rows = slotted[s]
+    lab = np.repeat(np.arange(sigma), sizes)
+    return _from_columns(
+        n,
+        sigma,
+        np.concatenate((src, src[rows] + 1 + idx - slot_prefix[s])),
+        np.concatenate((np.arange(1, n), rows + 1)),
+        np.concatenate((lab, lab[rows])),
+    )
 
 
 def _random_start(n: int, sigma: int, seed: int, m: int | None) -> random.Random:
@@ -120,7 +151,9 @@ def gen_random_dfa(n: int, sigma: int, seed: int, m: int | None = None) -> Autom
         raise ValueError(f"infeasible: need n-1 <= m <= n*sigma, got m={m} for n={n}, sigma={sigma}")
     lam = _tree_letters(n, sigma, rng)
     used: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, int]] = []
+    # every edge carries its target's in-letter lam[v - 1]
+    src: list[int] = []
+    dst: list[int] = []
     for v in range(1, n):
         c = lam[v - 1]
         while True:
@@ -128,7 +161,8 @@ def gen_random_dfa(n: int, sigma: int, seed: int, m: int | None = None) -> Autom
             if (u, c) not in used:
                 break
         used.add((u, c))
-        edges.append((u, v, c))
+        src.append(u)
+        dst.append(v)
     need = m - (n - 1)
     attempts = 0
     while need > 0 and attempts < 50 * need + 200:
@@ -139,7 +173,8 @@ def gen_random_dfa(n: int, sigma: int, seed: int, m: int | None = None) -> Autom
         if (u, c) in used:
             continue
         used.add((u, c))
-        edges.append((u, v, c))
+        src.append(u)
+        dst.append(v)
         need -= 1
     if need > 0:
         # near saturation rejection stalls; fill from the enumerated free slots
@@ -149,8 +184,9 @@ def gen_random_dfa(n: int, sigma: int, seed: int, m: int | None = None) -> Autom
         free = [(u, c) for u in range(n) for c in by_letter if (u, c) not in used]
         rng.shuffle(free)
         for u, c in free[:need]:
-            edges.append((u, rng.choice(by_letter[c]), c))
-    return Automaton(n, sigma, 0, sorted(edges))
+            src.append(u)
+            dst.append(rng.choice(by_letter[c]))
+    return _from_columns(n, sigma, src, dst, np.array(lam)[np.array(dst) - 1])
 
 
 def gen_random_nfa(n: int, sigma: int, seed: int, m: int | None = None) -> Automaton:
@@ -167,11 +203,14 @@ def gen_random_nfa(n: int, sigma: int, seed: int, m: int | None = None) -> Autom
         raise ValueError(f"infeasible: need n-1 <= m <= n*(n-1), got m={m} for n={n}")
     lam = _tree_letters(n, sigma, rng)
     used: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, int]] = []
+    # every edge carries its target's in-letter lam[v - 1]
+    src: list[int] = []
+    dst: list[int] = []
     for v in range(1, n):
         u = rng.randrange(v)
         used.add((u, v))
-        edges.append((u, v, lam[v - 1]))
+        src.append(u)
+        dst.append(v)
     need = m - (n - 1)
     while need > 0:
         v = rng.randrange(1, n)
@@ -179,6 +218,7 @@ def gen_random_nfa(n: int, sigma: int, seed: int, m: int | None = None) -> Autom
         if (u, v) in used:
             continue
         used.add((u, v))
-        edges.append((u, v, lam[v - 1]))
+        src.append(u)
+        dst.append(v)
         need -= 1
-    return Automaton(n, sigma, 0, sorted(edges))
+    return _from_columns(n, sigma, src, dst, np.array(lam)[np.array(dst) - 1])

@@ -92,6 +92,8 @@ def automata(draw):
     n = draw(st.sampled_from([1, 2, 10, 11, 100, 101, 2**62, 2**62 + 2, 2**63 - 1]))
     sigma = draw(st.sampled_from([1, 3, 10, 2**62 + 1, 2**63 - 1]))
     rows = draw(st.lists(st.tuples(ints(n), ints(n), ints(sigma)), unique=True, max_size=25))
+    if draw(st.booleans()):  # rows in canonical order, written without a sort
+        rows.sort()
     return Automaton(n, sigma, draw(ints(n)), rows)
 
 
