@@ -187,10 +187,15 @@ def sorted_runs(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
-def _dense_rank(*cols: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense rank of each row among the distinct rows of cols, and their number."""
-    order, new = sorted_runs(*cols)
-    rank = np.empty(order.size, dtype=np.int64)
+def _dense_rank(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense rank of each entry of key among its distinct values, and their
+    number. A dense rank does not depend on how equal keys are ordered, so
+    numpy's default (unstable) argsort serves."""
+    order = np.argsort(key)
+    k = key[order]
+    new = np.ones(k.size, dtype=bool)
+    np.not_equal(k[1:], k[:-1], out=new[1:])
+    rank = np.empty(k.size, dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
     return rank, int(np.count_nonzero(new))
 
@@ -208,6 +213,11 @@ def doubling_ranks(letters: np.ndarray, phi: np.ndarray, extra_rounds: int = 0) 
     adds no distinct rank: if walks of length 2L split no class of length
     L, by Moore's argument no longer walk does. extra_rounds = k > 0 runs
     all k + ceil(log2(size)).
+
+    A round ranks the pair (rank, rank at the hop's end) as the one int64
+    key rank * classes + rank[hop]. Both halves are dense ranks below
+    classes <= size, so the key is below size**2 and exact for any size
+    under 3 * 10**9.
     """
     if extra_rounds < 0:
         raise ValueError(f"extra_rounds must be at least 0, got {extra_rounds}")
@@ -216,7 +226,7 @@ def doubling_ranks(letters: np.ndarray, phi: np.ndarray, extra_rounds: int = 0) 
     rounds = 0
     for rounds in range(1, (int(letters.size) - 1).bit_length() + extra_rounds + 1):
         before = classes
-        rank, classes = _dense_rank(rank, rank[phik])
+        rank, classes = _dense_rank(rank * classes + rank[phik])
         if classes == before and not extra_rounds:
             break
         phik = phik[phik]
@@ -603,7 +613,7 @@ def reverse_automaton(a: Automaton) -> Automaton:
     validate() expectations. The source field is carried over unchanged and
     has no particular meaning on the reversal.
     """
-    return Automaton(a.n, a.sigma, a.source, (a.edst.copy(), a.esrc.copy(), a.elab.copy()))
+    return Automaton(a.n, a.sigma, a.source, (a.edst, a.esrc, a.elab))
 
 
 def quotient(a: Automaton, p: OrderedPartition) -> Automaton:

@@ -15,6 +15,7 @@ from copar.automaton import (
     DuplicateEdgeWarning,
     OrderedPartition,
     ParseError,
+    doubling_ranks,
     make_input_consistent,
     parse_automaton,
     parse_order,
@@ -287,10 +288,77 @@ def test_make_input_consistent_matches_set_construction(n, sigma, rng):
     assert (ic.sigma, ic.source) == (a.sigma, 0)
 
 
+def ref_doubling_ranks(letters, phi, extra_rounds=0):
+    """The reference for doubling_ranks: every round a stable two-column
+    lexsort of (rank, rank at the hop's end), with no packed key."""
+
+    def dense(*cols):
+        order = np.lexsort(cols[::-1])
+        new = np.zeros(order.size, dtype=bool)
+        new[:1] = True
+        for col in cols:
+            c = col[order]
+            new[1:] |= c[1:] != c[:-1]
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.cumsum(new) - 1
+        return rank, int(np.count_nonzero(new))
+
+    rank, classes = dense(letters)
+    phik = phi.astype(np.int64)
+    rounds = 0
+    for rounds in range(1, (int(letters.size) - 1).bit_length() + extra_rounds + 1):
+        before = classes
+        rank, classes = dense(rank, rank[phik])
+        if classes == before and not extra_rounds:
+            break
+        phik = phik[phik]
+    return rank, rounds
+
+
+def _functional_graphs(rng, size, sigma):
+    """(letters, phi) pairs over size nodes, letters in -1..sigma-1: random,
+    all self-loops, one long cycle, and with every letter equal on a long
+    path and on a random graph."""
+    same = np.zeros(size, dtype=np.int64)
+    path = np.maximum(np.arange(size) - 1, 0)
+    yield rng.integers(-1, sigma, size), rng.integers(0, size, size)
+    yield rng.integers(-1, sigma, size), np.arange(size)
+    yield rng.integers(-1, sigma, size), (np.arange(size) + 1) % max(size, 1)
+    yield same, path
+    yield same, rng.integers(0, size, size)
+    if size:
+        letters = same.copy()
+        letters[0] = -1
+        yield letters, path
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_doubling_ranks_match_the_lexsort_rounds(extra):
+    rng = np.random.default_rng(22 + extra)
+    sizes = [0, 1, 2, 3, 5, 17, 64, 257, 1000, 4099] + rng.integers(3, 3000, 6).tolist()
+    for size in sizes:
+        for sigma in (1, 2, 4):
+            for letters, phi in _functional_graphs(rng, size, sigma):
+                rank, rounds = doubling_ranks(letters, phi, extra)
+                want, want_rounds = ref_doubling_ranks(letters, phi, extra)
+                assert rank.dtype == np.int64
+                assert rank.tolist() == want.tolist() and rounds == want_rounds
+
+
+def test_doubling_ranks_of_zero_and_one_node():
+    empty = np.zeros(0, dtype=np.int64)
+    rank, rounds = doubling_ranks(empty, empty)
+    assert (rank.tolist(), rounds) == ([], 1)
+    rank, rounds = doubling_ranks(np.array([-1]), np.array([0]))
+    assert (rank.tolist(), rounds) == ([0], 0)
+
+
 def test_reverse_automaton_flips_edges():
     a = example_loop_dfa()
     r = reverse_automaton(a)
     assert r.sorted_edges() == [(1, 0, 1), (2, 1, 0), (2, 2, 0)]
+    # the constructor's copies keep the reversal apart from its input
+    assert not any(np.shares_memory(x, y) for x in (r.esrc, r.edst, r.elab) for y in (a.esrc, a.edst, a.elab))
 
 
 def test_quotient_collapses_parts():
