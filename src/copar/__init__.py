@@ -7,6 +7,8 @@ oracles and input generators that make every claim checkable at desk scale.
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 # the module of each public name; the modules load on first use (PEP 562),
 # so `import copar` loads no numpy and the CLI can set up the environment
 # numpy reads before numpy loads
@@ -42,14 +44,39 @@ _HOMES = {
 __all__ = sorted(_HOMES)
 
 
-def __getattr__(name: str):
-    from importlib import import_module
+def _bind(namespace: dict, homes: dict[str, str], module: str) -> None:
+    """Load copar.<module> and bind in namespace, a module's globals, each
+    name that homes maps to it, keeping a name already bound there: a
+    wrapper a tracer or a test has set."""
+    mod = _import_module(f"copar.{module}")
+    for name, home in homes.items():
+        if home == module:
+            namespace.setdefault(name, getattr(mod, name))
 
-    if name not in _HOMES:
-        raise AttributeError(f"module 'copar' has no attribute {name!r}")
-    value = getattr(import_module(f"copar.{_HOMES[name]}"), name)
-    globals()[name] = value  # later lookups skip this function
-    return value
+
+def _lazy_getattr(namespace: dict, homes: dict[str, str]):
+    """A module __getattr__ (PEP 562) that binds the names of homes, each
+    mapped to the copar module defining it, on first use; later lookups
+    find them in namespace and skip it."""
+
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        _bind(namespace, homes, homes[name])
+        return namespace[name]
+
+    return __getattr__
+
+
+def _wrapped(namespace: dict, homes: dict[str, str], name: str) -> bool:
+    """Whether namespace binds name to something other than the function of
+    its home module: a wrapper, which must see the call. An unbound name is
+    not wrapped."""
+    value = namespace.get(name)
+    return value is not None and value is not getattr(_import_module(f"copar.{homes[name]}"), name)
+
+
+__getattr__ = _lazy_getattr(globals(), _HOMES)
 
 
 def __dir__() -> list[str]:

@@ -484,17 +484,34 @@ SMALL_LEVEL_EDGES = 48
 
 
 def reachable_mask(a: Automaton) -> np.ndarray:
-    """Boolean mask of states reachable from the source, by BFS in O(n + m).
+    """Boolean mask of states reachable from the source.
 
-    A level of at most SMALL_LEVEL_EDGES states and out-edges is scanned in
-    plain Python over memoryviews of the CSR arrays, a larger one in one
-    vectorized step, so a deep, thin automaton makes no numpy call per level.
+    When every state but the source has exactly one in-edge and the source
+    none (m = n - 1), each state points at its parent and the source at
+    itself. Squaring that map b = (n - 1).bit_length() times sends each
+    state 2**b > n - 1 steps up, so a state is reachable iff it lands on
+    the source: O(n log n) work in O(log n) numpy passes. A state on a
+    detached cycle never lands there.
+
+    Any other graph takes a BFS in O(n + m): a level of at most
+    SMALL_LEVEL_EDGES states and out-edges is scanned in plain Python over
+    memoryviews of the CSR arrays, a larger one in one vectorized step, so
+    a deep, thin automaton makes no numpy call per level.
     """
     n = a.n
     visited = np.zeros(n, dtype=bool)
     visited[a.source] = True
     if a.m == 0:
         return visited
+    if a.m == n - 1:
+        indeg = np.bincount(a.edst, minlength=n)
+        if indeg[a.source] == 0 and np.count_nonzero(indeg == 1) == n - 1:
+            parent = np.empty(n, dtype=np.int64)
+            parent[a.edst] = a.esrc
+            parent[a.source] = a.source
+            for _ in range((n - 1).bit_length()):
+                parent = parent[parent]
+            return parent == a.source
     rows, ptr, deg = csr(a.esrc, n)
     dst_by_src = a.edst[rows]
     slot = np.empty(n, dtype=np.int64)
@@ -621,6 +638,13 @@ def quotient(a: Automaton, p: OrderedPartition) -> Automaton:
 
     The part holding the source must be a singleton. Class i of the result is
     part i of p; parallel edges collapse.
+
+    With k parts, each edge packs into the one int64 key
+    (class of its source * k + class of its target) * sigma + letter, below
+    k**2 * sigma: one sort and a new-run mask find the distinct rows, which
+    the key decodes into in sorted order. That is exact while k**2 * sigma
+    < 2**63, as for any clean input with m under 2 * 10**6 (k <= m + 1 and
+    sigma <= m); a larger one groups the three columns with sorted_runs.
     """
     if p.n != a.n:
         raise ValueError(f"partition covers {p.n} states, automaton has {a.n}")
@@ -628,10 +652,25 @@ def quotient(a: Automaton, p: OrderedPartition) -> Automaton:
     source_cls = int(cls[a.source])
     if p.starts[source_cls + 1] - p.starts[source_cls] != 1:
         raise ValueError("source class must be a singleton")
-    src, dst = cls[a.esrc], cls[a.edst]
-    order, new = sorted_runs(src, dst, a.elab)
-    rows = order[new]
-    return Automaton(p.k, a.sigma, source_cls, (src[rows], dst[rows], a.elab[rows]))
+    k, sigma = p.k, max(a.sigma, 1)
+    if k * k * sigma > np.iinfo(np.int64).max:
+        src, dst = cls[a.esrc], cls[a.edst]
+        order, new = sorted_runs(src, dst, a.elab)
+        rows = order[new]
+        return Automaton(k, a.sigma, source_cls, (src[rows], dst[rows], a.elab[rows]))
+    # in place, so at most two arrays of m rows are alive: out of place,
+    # the temporaries raised nfa-sort's peak RSS by about 0.5 MB
+    key = cls[a.esrc]
+    key *= k
+    key += cls[a.edst]
+    key *= sigma
+    key += a.elab
+    key.sort()
+    new = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    pair, lab = np.divmod(key[new], sigma)
+    src, dst = np.divmod(pair, k)
+    return Automaton(k, a.sigma, source_cls, (src, dst, lab))
 
 
 def path_dfa(s: Sequence[int]) -> Automaton:

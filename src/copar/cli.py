@@ -7,6 +7,14 @@ an order or partition against an automaton), gen (seeded inputs), bench
 out of memory, engine invariant breach or kernel compile failure, 2 check
 failed, 3 parse or I/O error. Exits 1 and 3 explain themselves on stderr,
 never in a traceback.
+
+A run loads only the modules its command runs: colex_order and
+serialize_colex (copar.colex) are bound here on first use (PEP 562), by
+`colex` or by an attribute lookup such as a tracer's, as are
+refine_with_pruning and serialize_pruned (copar.prune, which loads the
+engine) by `prune`; a wrapper set on any of them stays bound. `sort` and
+`check --partition` load the engine only when copar.refine runs it, and
+`sort` on a tree, on the pure-Python backend, loads none.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
 # copar calls no BLAS routine, but numpy starts a BLAS thread per core as it
 # loads, which slows every run's start; this runs before numpy loads, since
@@ -21,6 +30,7 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from copar import _bind, _lazy_getattr
 from copar._kernels import KernelCompileError
 from copar.automaton import (
     ParseError,
@@ -32,9 +42,17 @@ from copar.automaton import (
     serialize_automaton,
     serialize_ordered_partition,
 )
-from copar.colex import colex_order, serialize_colex
-from copar.prune import refine_with_pruning, serialize_pruned
 from copar.refine import refine_all, wheeler_preorder
+
+if TYPE_CHECKING:
+    from copar.colex import colex_order, serialize_colex
+    from copar.prune import refine_with_pruning, serialize_pruned
+
+_LAZY = {
+    **dict.fromkeys(("colex_order", "serialize_colex"), "colex"),
+    **dict.fromkeys(("refine_with_pruning", "serialize_pruned"), "prune"),
+}
+__getattr__ = _lazy_getattr(globals(), _LAZY)
 
 DEFAULT_SEED = 1729
 
@@ -82,12 +100,14 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
+    _bind(globals(), _LAZY, "prune")
     a = parse_automaton(_read(args.input))
     _write(args.output, serialize_pruned(refine_with_pruning(a, args.mode)))
     return 0
 
 
 def _cmd_colex(args: argparse.Namespace) -> int:
+    _bind(globals(), _LAZY, "colex")
     a = parse_automaton(_read(args.input))
     head = ""
     if args.make_ic:

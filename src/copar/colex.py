@@ -16,6 +16,13 @@ ranking is the result. It runs on the pure-Python backend, capped at
 MAX_POLICY_ITERATIONS rankings. Past the cap, with numba kernels, or when
 refine_with_pruning is wrapped (a tracer must see both prunings), the two
 engine prunings of the paper run instead, which keep its O(m log n) bound.
+
+copar.prune, and through it the engine, loads only for those prunings:
+refine_with_pruning is bound here on first use (PEP 562), by the capped
+fallback or by an attribute lookup such as a tracer's, whose wrapper stays
+bound. So policy iteration loads no engine, and refine_with_pruning is
+wrapped exactly when it is bound here to anything but
+prune.refine_with_pruning.
 """
 
 from __future__ import annotations
@@ -25,10 +32,11 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from copar import prune
+from copar import _bind, _lazy_getattr, _wrapped
 from copar._kernels import HAVE_NUMBA
 from copar.automaton import (
     _ROW_SEPS,
@@ -39,7 +47,13 @@ from copar.automaton import (
     csr,
     doubling_ranks,
 )
-from copar.prune import PrunedAutomaton, refine_with_pruning, require_dfa
+from copar.refine import require_dfa
+
+if TYPE_CHECKING:
+    from copar.prune import PrunedAutomaton, refine_with_pruning
+
+_PRUNE = {"refine_with_pruning": "prune"}
+__getattr__ = _lazy_getattr(globals(), _PRUNE)
 
 # Fewest edges at which colex_order runs the sup pruning in a forked worker.
 # The worker's fork, result pipe and reaping cost about 3 ms, as much as one
@@ -249,7 +263,7 @@ def colex_order(a: Automaton) -> ColexResult:
     and outputs are those of the in-process path.
     """
     require_dfa(a)
-    fast = not HAVE_NUMBA and refine_with_pruning is prune.refine_with_pruning
+    fast = not HAVE_NUMBA and not _wrapped(globals(), _PRUNE, "refine_with_pruning")
     table = _policy_ranks(a) if fast else None
     if table is None:
         table = suffix_doubling_ranks(build_merged_graph(*_prunings(a)))
@@ -273,10 +287,11 @@ def colex_order(a: Automaton) -> ColexResult:
 def _prunings(a: Automaton) -> tuple[PrunedAutomaton, PrunedAutomaton]:
     """The inf and sup prunings of the DFA a, the sup one in a forked worker
     when that pays; if the worker fails, the sup pruning runs again here."""
+    _bind(globals(), _PRUNE, "prune")
     pays = (
         a.m >= WORKER_MIN_EDGES
         and not HAVE_NUMBA
-        and refine_with_pruning is prune.refine_with_pruning
+        and not _wrapped(globals(), _PRUNE, "refine_with_pruning")
         and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2

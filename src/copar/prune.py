@@ -16,7 +16,7 @@ import numpy as np
 
 from copar.automaton import Automaton, OrderedPartition, serialize_automaton
 from copar.partition import Refinement, init_refinement, run_refinement
-from copar.refine import require_clean
+from copar.refine import require_dfa
 
 
 @dataclass
@@ -64,14 +64,6 @@ def _sorted_edge_list(a: Automaton, ids: np.ndarray) -> list[tuple[int, int, int
     """The edges of a with the given ids, as sorted (from, to, letter) tuples."""
     rows = ids[np.lexsort((a.elab[ids], a.edst[ids], a.esrc[ids]))]
     return list(zip(a.esrc[rows].tolist(), a.edst[rows].tolist(), a.elab[rows].tolist()))
-
-
-def require_dfa(a: Automaton) -> None:
-    """Raise ValidationError for an unclean automaton and ValueError for a
-    nondeterministic one."""
-    require_clean(a)
-    if not a.is_deterministic():
-        raise ValueError("DFA required: pruning is defined for deterministic automata only")
 
 
 def refine_with_pruning(a: Automaton, direction: str, *, checked: bool = False) -> PrunedAutomaton:

@@ -10,15 +10,24 @@ the same string, so the classes of equal reaching strings are the
 coarsest forward-stable partition; their quotient is a deterministic trie,
 so the flag is true, and then the engine's part order is the co-lex one:
 both paths give the same bytes.
+
+The engine, copar.partition, loads only when it runs: init_refinement and
+run_refinement are bound here on first use (PEP 562), by the engine path
+or by an attribute lookup such as a tracer's, whose wrappers stay bound.
+So a tree sorted by doubling loads no engine, and run_refinement is
+wrapped exactly when it is bound here to anything but
+partition.run_refinement. copar._kernels loads with this module, since
+HAVE_NUMBA picks the path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from copar import partition
+from copar import _bind, _lazy_getattr, _wrapped
 from copar._kernels import HAVE_NUMBA
 from copar.automaton import (
     Automaton,
@@ -30,7 +39,12 @@ from copar.automaton import (
     sorted_runs,
     validate,
 )
-from copar.partition import init_refinement, run_refinement
+
+if TYPE_CHECKING:
+    from copar.partition import init_refinement, run_refinement
+
+_ENGINE = dict.fromkeys(("init_refinement", "run_refinement"), "partition")
+__getattr__ = _lazy_getattr(globals(), _ENGINE)
 
 
 @dataclass
@@ -73,6 +87,14 @@ def require_clean(a: Automaton) -> None:
         raise ValidationError(diagnostics)
 
 
+def require_dfa(a: Automaton) -> None:
+    """Raise ValidationError for an unclean automaton and ValueError for a
+    nondeterministic one."""
+    require_clean(a)
+    if not a.is_deterministic():
+        raise ValueError("DFA required: pruning is defined for deterministic automata only")
+
+
 def _first_missing(values: np.ndarray, k: int) -> int:
     """Smallest of 0..k-1 not among values; exists when len(values) < k."""
     seen = np.zeros(k, dtype=bool)
@@ -88,6 +110,7 @@ def refine_all(a: Automaton) -> OrderedPartition:
     states of each letter in ascending order.
     """
     require_clean(a)
+    _bind(globals(), _ENGINE, "partition")
     ref = init_refinement(a)
     run_refinement(ref)
     return ref.snapshot_partition()
@@ -101,10 +124,11 @@ def wheeler_preorder(a: Automaton) -> WheelerPreorder:
     state, so a.m == a.n - 1 is the whole test for a tree.
     """
     require_clean(a)
-    if a.m == a.n - 1 and not HAVE_NUMBA and run_refinement is partition.run_refinement:
+    if a.m == a.n - 1 and not HAVE_NUMBA and not _wrapped(globals(), _ENGINE, "run_refinement"):
         p = _tree_partition(a)
         rounds = max_splitter_count = 0
     else:
+        _bind(globals(), _ENGINE, "partition")
         ref = init_refinement(a, "ascending")
         run_refinement(ref)
         p = ref.snapshot_partition()

@@ -251,6 +251,73 @@ def test_reachable_mask_makes_no_numpy_call_per_level(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_reachable_mask_bfs_makes_no_numpy_call_per_level(monkeypatch):
+    """A path with one more edge has a state of in-degree two, so it takes
+    the BFS, not the pointer jumping of in-degree-one graphs."""
+    counts = []
+    for n in (100, 100_000):
+        src, dst = np.append(np.arange(n - 1), 0), np.append(np.arange(1, n), 2)
+        a = Automaton(n, 2, 0, (src, dst, np.append(np.zeros(n - 1, np.int64), 1)))
+        proxy = _CountingNumpy()
+        monkeypatch.setattr(automaton, "np", proxy)
+        assert reachable_mask(a).all()
+        monkeypatch.undo()
+        counts.append(proxy.calls)
+    assert counts[0] == counts[1] > 0
+
+
+# in-degree-one graphs, and graphs of n - 1 edges one edge away from them
+POINTER_JUMPING_KINDS = ("tree", "path", "tree-and-cycle")
+NEAR_MISS_KINDS = ("source-in-edge", "two-in-edges")
+
+
+@st.composite
+def _parent_graphs(draw):
+    """(kind, automaton) built from a parent array, with the states renamed
+    at random: a random tree, a path of up to 10^5 states, a tree plus a
+    detached cycle (or self-loop), and two graphs of n - 1 edges that are
+    not in-degree one: the source with an in-edge, a state with two."""
+    kind = draw(st.sampled_from(POINTER_JUMPING_KINDS + NEAR_MISS_KINDS))
+    n = draw(st.integers(3 if kind == "two-in-edges" else 2, 10**5 if kind == "path" else 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = np.arange(n)
+    parent = states - 1 if kind == "path" else (rng.random(n) * states).astype(np.int64)
+    src, dst = parent[1:], states[1:]
+    if kind == "tree-and-cycle":
+        first = int(rng.integers(1, n))  # states first..n-1 form the cycle
+        src = np.where(dst == first, n - 1, np.where(dst > first, dst - 1, src))
+    elif kind in NEAR_MISS_KINDS:
+        # one state loses its in-edge, and the source or another state
+        # gets one from a state that is not yet its parent
+        lost = int(rng.integers(1, n))
+        gains = 0 if kind == "source-in-edge" else int(rng.choice(np.delete(states[1:], lost - 1)))
+        tail = int(rng.choice(np.delete(states, parent[gains] if gains else [])))
+        keep = dst != lost
+        src, dst = np.append(src[keep], tail), np.append(dst[keep], gains)
+    rename = rng.permutation(n)
+    letters = rng.integers(0, 2, src.size)
+    return kind, Automaton(n, 2, int(rename[0]), (rename[src], rename[dst], letters))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_parent_graphs())
+def test_reachable_mask_by_pointer_jumping_matches_plain_bfs(case):
+    """Against the plain BFS, with validate's diagnostics unchanged, and
+    the BFS's CSR built only for the graphs that are not in-degree one."""
+    kind, a = case
+    want = _bfs_reachable(a)
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        csr = automaton.csr
+        mp.setattr(automaton, "csr", lambda *args: (built.append(1), csr(*args))[1])
+        assert reachable_mask(a).tolist() == want
+    assert bool(built) == (kind in NEAR_MISS_KINDS) and a.m == a.n - 1
+    got = validate(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "reachable_mask", lambda b: np.array(want))
+        assert got == validate(a)
+
+
 def test_make_input_consistent_splits_conflicts():
     a = Automaton(3, 2, 0, [(0, 1, 0), (0, 2, 1), (2, 1, 1)])
     ic, mapping = make_input_consistent(a)
@@ -376,6 +443,23 @@ def test_quotient_does_not_wrap_on_large_alphabets():
     a = Automaton(3, 2**62, 0, [(0, 1, 0), (1, 2, 2**62 - 1)])
     q = quotient(a, OrderedPartition([[0], [1], [2]]))
     assert q.sorted_edges() == [(0, 1, 0), (1, 2, 2**62 - 1)]
+
+
+@given(st.integers(1, 9), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_quotient_stores_the_distinct_class_rows_in_order(n, sigma, rng):
+    """The packed key's sort and decode against a set of (class, class,
+    letter) rows, sorted, on random ordered partitions with the source
+    alone in its part."""
+    rows = {(rng.randrange(n), rng.randrange(n), rng.randrange(sigma)) for _ in range(rng.randint(0, 24))}
+    a = Automaton(n, sigma, 0, sorted(rows, key=lambda r: rng.random()))
+    others = rng.sample(range(1, n), n - 1)
+    cuts = sorted(rng.sample(range(1, n - 1), rng.randint(0, n - 2))) if n > 2 else []
+    parts = [[0]] + [others[i:j] for i, j in zip([0] + cuts, cuts + [n - 1]) if i < j]
+    rng.shuffle(parts)
+    cls = {v: i for i, part in enumerate(parts) for v in part}
+    q = quotient(a, OrderedPartition(parts))
+    assert list(q.edges()) == sorted({(cls[u], cls[v], c) for u, v, c in rows})
+    assert (q.n, q.sigma, q.source) == (len(parts), sigma, cls[0])
 
 
 def test_path_dfa_shape():

@@ -363,6 +363,85 @@ def test_cli_run_does_not_import_oracle_bench_or_generators(loop_path, argv):
     assert run.stdout.endswith("[]\n")
 
 
+def _child_output(code: str) -> str:
+    """The last line a fresh interpreter prints after running code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+@pytest.fixture
+def inputs(tmp_path, loop_path):
+    """A path DFA, an NFA that is no tree, the loop DFA and the sort of
+    that DFA, as files."""
+    files = {"path": tmp_path / "path.nfa", "nfa": tmp_path / "nfa.nfa", "loop": Path(loop_path)}
+    files["path"].write_text(serialize_automaton(automaton.path_dfa([0, 1, 0, 0, 1, 0, 1, 0, 0, 1])))
+    files["nfa"].write_text(serialize_automaton(example_unordered_nfa()))
+    files["sorted"] = tmp_path / "loop.ordpart"
+    assert cli.main(["sort", loop_path, "-o", str(files["sorted"])]) == 0
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize(
+    ("argv", "setup", "loaded"),
+    [
+        (["sort", "path"], "refine.HAVE_NUMBA = False", []),
+        (["sort", "path"], "refine.HAVE_NUMBA = True", ["copar.partition"]),
+        (["sort", "nfa"], "", ["copar.partition"]),
+        (["colex", "loop"], "import copar.colex\ncopar.colex.HAVE_NUMBA = False", ["copar.colex"]),
+        (["prune", "loop", "--mode", "sup"], "", ["copar.partition", "copar.prune"]),
+        (["check", "loop", "--partition", "sorted"], "", ["copar.partition"]),
+    ],
+)
+def test_cli_run_loads_only_the_modules_its_path_runs(inputs, tmp_path, argv, setup, loaded):
+    """A tree sorted by prefix doubling loads no engine, and policy
+    iteration no pruning; each backend is set where the gate reads it."""
+    argv = [inputs.get(arg, arg) for arg in argv]
+    if argv[0] != "check":
+        argv += ["-o", str(tmp_path / "out.txt")]
+    code = (
+        "import sys\n"
+        "from copar import cli, refine\n"
+        f"{setup}\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in ('copar.colex', 'copar.partition', 'copar.prune') if m in sys.modules))\n"
+    )
+    assert _child_output(code) == repr(loaded)
+
+
+def test_wrappers_set_before_the_first_command_see_the_engine_run(inputs, tmp_path):
+    """A tracer may wrap refine.run_refinement and colex.refine_with_pruning
+    before either module has bound them: the wrappers stay bound, so the
+    tree sort and the colex both run the engine, with the untraced bytes."""
+    def outputs(wrap: str) -> tuple[list[int], list[bytes]]:
+        outs = [tmp_path / f"{command}{bool(wrap)}.txt" for command in ("sort", "colex")]
+        code = (
+            "from copar import cli, colex, refine\n"
+            "rounds = []\n"
+            f"{wrap}\n"
+            f"assert cli.main(['sort', {inputs['path']!r}, '-o', {str(outs[0])!r}]) == 0\n"
+            f"assert cli.main(['colex', {inputs['path']!r}, '-o', {str(outs[1])!r}]) == 0\n"
+            "print(rounds)\n"
+        )
+        return json.loads(_child_output(code)), [out.read_bytes() for out in outs]
+
+    wrap = (
+        "run, prune = refine.run_refinement, colex.refine_with_pruning\n"
+        "def traced_run(ref):\n"
+        "    run(ref)\n"
+        "    rounds.append(ref.rounds)\n"
+        "def traced_prune(*args, **kw):\n"
+        "    p = prune(*args, **kw)\n"
+        "    rounds.append(p.rounds)\n"
+        "    return p\n"
+        "refine.run_refinement, colex.refine_with_pruning = traced_run, traced_prune"
+    )
+    rounds, traced = outputs(wrap)
+    assert len(rounds) == 3 and min(rounds) > 0  # one refinement, two prunings
+    assert outputs("") == ([], traced)
+
+
 def test_import_copar_loads_no_numpy():
     code = (
         "import sys, copar\n"
