@@ -14,8 +14,9 @@ ranks the 2n walks of a choice of in-edges, switches each state to a
 strictly better in-neighbour, and stops once none switches, so its last
 ranking is the result. It runs on the pure-Python backend, capped at
 MAX_POLICY_ITERATIONS rankings. Past the cap, with numba kernels, or when
-refine_with_pruning is wrapped (a tracer must see both prunings), the two
-engine prunings of the paper run instead, which keep its O(m log n) bound.
+refine_with_pruning is wrapped (a tracer must see both prunings), the
+fallback is the two engine prunings of the paper, one after the other,
+which keep its O(m log n) bound.
 
 copar.prune, and through it the engine, loads only for those prunings:
 refine_with_pruning is bound here on first use (PEP 562), by the capped
@@ -28,10 +29,7 @@ prune.refine_with_pruning.
 from __future__ import annotations
 
 import itertools
-import os
-import pickle
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,7 +39,6 @@ from copar._kernels import HAVE_NUMBA
 from copar.automaton import (
     _ROW_SEPS,
     Automaton,
-    OrderedPartition,
     _int_text,
     _lines_text,
     csr,
@@ -54,18 +51,6 @@ if TYPE_CHECKING:
 
 _PRUNE = {"refine_with_pruning": "prune"}
 __getattr__ = _lazy_getattr(globals(), _PRUNE)
-
-# Fewest edges at which colex_order runs the sup pruning in a forked worker.
-# The worker's fork, result pipe and reaping cost about 3 ms, as much as one
-# pruning at m = 400. On a 2-vCPU x86-64 VM (pure-Python backend; random
-# DFAs, m = 2n, in-process medians of 40) the worker's time over the
-# in-process time read 1.1-1.8 at m = 700, 0.97-1.5 at m = 1000, 0.8-1.05 at
-# m = 1400 and 0.7-0.9 at m = 2000, the spread coming from how often the
-# second CPU was busy. No pruning round at m <= 2000 reaches the load of a
-# numpy round, so that round does not bear on the break-even. The numba
-# backend's break-even, with faster prunings and a worker that would compile
-# its own kernels, is unmeasured, so there the prunings never fork.
-WORKER_MIN_EDGES = 1000
 
 # Most rankings colex_order's policy iteration runs before the engine
 # prunings take over and keep the O(m log n) bound. Howard's iteration on
@@ -247,26 +232,15 @@ def colex_order(a: Automaton) -> ColexResult:
     On the pure-Python backend, unless refine_with_pruning is wrapped (a
     tracer's wrapper must see both calls), policy iteration finds and ranks
     the kept strings. Past MAX_POLICY_ITERATIONS rankings, and always with
-    numba kernels, the engine prunings find them instead.
-
-    The engine's sup pruning runs in a forked worker, alongside the inf
-    pruning in this process, when a.m >= WORKER_MIN_EDGES, the kernels run
-    as plain Python (not numba), os.fork exists, the process may run on two
-    or more CPUs, no other Python thread runs and refine_with_pruning is not
-    wrapped. The CPU count is the affinity
-    mask's: a cgroup CPU quota is not seen, so under a one-CPU quota the
-    worker still runs and the two prunings take turns. The worker pickles
-    its result back over a pipe. Both pruning engines are then alive at
-    once, one per process, so the memory in use peaks near the automaton
-    plus two engines, while ru_maxrss reports the larger process alone. If
-    the worker fails in any way, the sup pruning runs again here, so errors
-    and outputs are those of the in-process path.
+    numba kernels, the two engine prunings find them instead, inf then sup.
     """
     require_dfa(a)
     fast = not HAVE_NUMBA and not _wrapped(globals(), _PRUNE, "refine_with_pruning")
     table = _policy_ranks(a) if fast else None
     if table is None:
-        table = suffix_doubling_ranks(build_merged_graph(*_prunings(a)))
+        _bind(globals(), _PRUNE, "prune")
+        prunings = refine_with_pruning(a, "inf", checked=True), refine_with_pruning(a, "sup", checked=True)
+        table = suffix_doubling_ranks(build_merged_graph(*prunings))
     inf_rank = table.ranks[: a.n].copy()
     sup_rank = table.ranks[a.n :].copy()
     if int(inf_rank[a.source]) != 0 or int(sup_rank[a.source]) != 0:
@@ -282,70 +256,6 @@ def colex_order(a: Automaton) -> ColexResult:
         width=len(chains),
         rounds=table.rounds,
     )
-
-
-def _prunings(a: Automaton) -> tuple[PrunedAutomaton, PrunedAutomaton]:
-    """The inf and sup prunings of the DFA a, the sup one in a forked worker
-    when that pays; if the worker fails, the sup pruning runs again here."""
-    _bind(globals(), _PRUNE, "prune")
-    pays = (
-        a.m >= WORKER_MIN_EDGES
-        and not HAVE_NUMBA
-        and not _wrapped(globals(), _PRUNE, "refine_with_pruning")
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-    worker = _fork_sup_worker(a) if pays else None
-    if worker is None:
-        return refine_with_pruning(a, "inf", checked=True), refine_with_pruning(a, "sup", checked=True)
-    pid, r = worker
-    try:
-        with open(r, "rb") as fh:
-            inf_p = refine_with_pruning(a, "inf", checked=True)
-            data = fh.read()
-    except BaseException:
-        import signal  # only here: the import would add about 1 ms to every CLI run
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        return inf_p, refine_with_pruning(a, "sup", checked=True)
-    sup_p, members, starts = pickle.loads(data)
-    return inf_p, replace(sup_p, base=a, partition=OrderedPartition.from_arrays(members, starts))
-
-
-def _fork_sup_worker(a: Automaton) -> tuple[int, int] | None:
-    """Fork a worker that pickles the sup pruning of a into a pipe, and
-    return its pid and the pipe's read end; None if no process could start.
-
-    The worker writes nothing to stdout or stderr. It exits 0 once the
-    whole result is written, and 1 on any error, always through os._exit,
-    so it never flushes its copies of the parent's stdio buffers.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # out of processes or memory
-        os.close(r)
-        os.close(w)
-        return None
-    if pid:
-        os.close(w)
-        return pid, r
-    code = 1
-    try:
-        os.close(r)
-        p = refine_with_pruning(a, "sup", checked=True)
-        result = (replace(p, base=None, partition=None), p.partition.members, p.partition.starts)
-        with open(w, "wb") as fh:
-            pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def serialize_colex(res: ColexResult) -> str:

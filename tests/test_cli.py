@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from copar import _kernels as K
-from copar import automaton, cli, oracle, refine
+from copar import automaton, cli, colex, oracle, refine
 from copar.automaton import parse_automaton, serialize_automaton, serialize_order
 from copar.examples import example_loop_dfa, example_unordered_nfa
+from copar.generators import gen_random_dfa
 
 LOOP = "NFA 3 3 0 2\n0 1 1\n1 2 0\n2 2 0\n"
 
@@ -483,14 +484,50 @@ def test_cli_pins_one_blas_thread_before_numpy_loads(loop_path):
     assert seen == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
 
 
-def test_exit_code_1_on_engine_status_error(loop_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [["sort"], ["prune", "--mode", "inf"], ["colex"]], ids=lambda argv: argv[0])
+def test_exit_code_1_on_engine_status_error(argv, loop_path, capsys, monkeypatch):
     def breach(regs, *args):
         regs[K.R_STATUS] = K.STATUS_HEAP_CAP
 
     monkeypatch.setattr(K, "run_full", breach)
-    assert cli.main(["sort", loop_path]) == 1
-    err = capsys.readouterr().err
+    monkeypatch.setattr(colex, "MAX_POLICY_ITERATIONS", 0)  # colex runs the engine prunings
+    assert cli.main([argv[0], loop_path, *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err == f"error: refinement engine invariant breached (status {K.STATUS_HEAP_CAP})\n"
+
+
+@pytest.fixture(params=["policy", "engine"])
+def big_colex(request, tmp_path, monkeypatch):
+    """A DFA with m = 6000 as a file, colex_order run by policy iteration or
+    capped to the engine prunings, and os.fork failing the test even where
+    two CPUs show: either path runs in this process."""
+    a = gen_random_dfa(3000, 4, 0, m=6000)
+    path = tmp_path / "big.nfa"
+    path.write_text(serialize_automaton(a))
+    if request.param == "engine":
+        monkeypatch.setattr(colex, "MAX_POLICY_ITERATIONS", 0)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("colex_order forked"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return a, str(path)
+
+
+def test_colex_stdout_equals_the_output_file(big_colex, tmp_path, capsys):
+    src, dst = big_colex[1], tmp_path / "out.txt"
+    assert cli.main(["colex", src]) == 0
+    assert cli.main(["colex", src, "-o", str(dst)]) == 0
+    out, err = capsys.readouterr()
+    assert out.encode() == dst.read_bytes() and err == ""
+    assert out.startswith("RANKS 3000\n")
+
+
+def test_colex_runs_with_no_stdout(big_colex, tmp_path, monkeypatch):
+    """As under `copar colex BIG -o FILE 1>&-`, where sys.stdout is None."""
+    a, src = big_colex
+    dst = tmp_path / "out.txt"
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(["colex", src, "-o", str(dst)]) == 0
+    assert dst.read_text() == colex.serialize_colex(colex.colex_order(a))
 
 
 def test_exit_code_1_on_kernel_compile_error(loop_path, capsys, monkeypatch):

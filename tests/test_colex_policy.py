@@ -1,13 +1,15 @@
 """colex_order's policy iteration against the engine prunings: the same
 bytes and doubling rounds on every input family, the engine prunings as
 the fallback once the iterations reach MAX_POLICY_ITERATIONS, and the
-fast path only where the worker gate allows it."""
+fast path only where the policy-iteration gate allows it."""
 
 from __future__ import annotations
 
 import collections
+import os
 import random
 
+import numpy as np
 import pytest
 
 from copar import colex, prune
@@ -172,6 +174,21 @@ def test_same_output_on_dfas_with_long_cycles(monkeypatch, rankings):
 def test_same_output_at_n_1e5(monkeypatch, rankings):
     a = gen_random_dfa(100_000, 4, 7, m=200_000)
     assert _iterations(a, monkeypatch, rankings) == 4
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_engine_fallback_gives_the_policy_answer(seed, monkeypatch, prunings):
+    """At m = 6000 both paths give the same ranks, chains, width and rounds,
+    and the fallback runs each pruning once, without starting a process."""
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("colex_order forked"))
+    a = gen_random_dfa(3000, 4, seed, m=6000)
+    got = colex.colex_order(a)
+    assert prunings == []
+    want = _engine(a, monkeypatch)
+    assert prunings == ["inf", "sup"]
+    assert np.array_equal(got.inf_rank, want.inf_rank)
+    assert np.array_equal(got.sup_rank, want.sup_rank)
+    assert (got.chains, got.width, got.rounds) == (want.chains, want.width, want.rounds)
 
 
 def test_ladder_takes_one_iteration_per_rung(monkeypatch, rankings):
