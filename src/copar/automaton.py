@@ -271,9 +271,12 @@ def parse_automaton(text: str) -> Automaton:
     input raises ParseError with the offending 1-based line number.
 
     A well-formed body (ASCII digits and whitespace only, three fields on
-    each non-blank line, no duplicate edge) is converted in one numpy call;
-    anything else is parsed again line by line, which gives the errors and
-    warnings their line numbers.
+    each non-blank line, no duplicate edge) is checked and converted in
+    numpy, in blocks of whole lines of about PARSE_BLOCK characters, each
+    by one np.fromstring call into one array of the 3m values. So the
+    parse's memory beyond that array and the automaton's columns scales
+    with a block, not with the text. Anything else is parsed again line by
+    line, which gives the errors and warnings their line numbers.
     """
     a = _parse_vectorized(text)
     return a if a is not None else _parse_lines(text)
@@ -304,6 +307,10 @@ def _parse_header(lineno: int, fields: list[str]) -> tuple[int, int, int, int]:
 _LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 # longer digit runs may not fit in int64
 _MAX_DIGITS = 18
+# _parse_vectorized reads the body in blocks of about this many characters,
+# each ending on a "\n", so its temporaries scale with a block, not with the
+# text.
+PARSE_BLOCK = 1 << 16
 
 
 def _parse_vectorized(text: str) -> Automaton | None:
@@ -326,35 +333,60 @@ def _parse_vectorized(text: str) -> Automaton | None:
         n, m, source, sigma = _parse_header(0, fields)
     except ParseError:
         return None
-    body = text[pos:]
-    if not body.isascii():
-        return None
-    raw = body.encode("ascii")
-    if raw.translate(None, b"0123456789 \t\r\n") != b"":
-        return None  # a byte other than a digit, space, tab, CR or LF
-    b = np.frombuffer(raw, dtype=np.uint8)
-    cr = np.flatnonzero(b == 13)
-    if cr.size and (cr[-1] + 1 == b.size or np.any(b[cr + 1] != 10)):
-        return None  # a lone "\r" ends a line for str.splitlines
-    digit = np.zeros(b.size + 2, dtype=bool)
-    np.greater_equal(b, ord("0"), out=digit[1:-1])  # only digits pass >= "0"
-    bounds = np.flatnonzero(digit[1:] != digit[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
-    if starts.size != 3 * m or (m and int((ends - starts).max()) > _MAX_DIGITS):
-        return None
-    before = np.searchsorted(starts, np.flatnonzero(b == 10))
-    per_line = np.diff(before, prepend=0, append=starts.size)
-    if np.any((per_line != 0) & (per_line != 3)):
-        return None
-    if not m:
-        return Automaton(n, sigma, source, [])
-    vals = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if vals.size != 3 * m:
+    size = len(text)
+    if 6 * m - 1 > size - pos:
+        return None  # too short for m edge lines: keeps vals below 4 bytes a character
+    vals = np.zeros(3 * m, dtype=np.int64)
+    k = 0  # values read so far
+    lo = pos
+    while lo < size:
+        hi = size if size - lo <= PARSE_BLOCK else text.rfind("\n", lo, lo + PARSE_BLOCK) + 1
+        if hi <= lo:  # a line longer than a block
+            hi = text.find("\n", lo + PARSE_BLOCK) + 1 or size
+        block = _block_values(text[lo:hi], 3 * m - k)
+        if block is None:
+            return None
+        vals[k : k + block.size] = block
+        k += block.size
+        lo = hi
+    if k != 3 * m:
         return None
     try:  # an endpoint or letter out of range, or a duplicate edge
         return Automaton(n, sigma, source, (vals[0::3], vals[1::3], vals[2::3]))
     except ValueError:
         return None
+
+
+def _block_values(chunk: str, room: int) -> np.ndarray | None:
+    """The at most room integers of whole body lines, or None when the lines
+    might not read as _parse_lines reads them."""
+    if not chunk.isascii():
+        return None
+    raw = chunk.encode("ascii")
+    if raw.translate(None, b"0123456789 \t\r\n"):
+        return None  # a byte other than a digit, space, tab, CR or LF
+    if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
+        return None  # a lone "\r" ends a line for str.splitlines
+    b = np.frombuffer(raw, dtype=np.uint8)
+    digit = np.zeros(b.size + 2, dtype=bool)
+    np.greater_equal(b, ord("0"), out=digit[1:-1])  # only digits pass >= "0"
+    # digit runs: run i is raw[bounds[2i] : bounds[2i + 1]]
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    if bounds.size % 6 or bounds.size > 2 * room:
+        return None
+    if not bounds.size:
+        return bounds
+    if int((bounds[1::2] - bounds[0::2]).max()) > _MAX_DIGITS:
+        return None
+    # three runs per non-blank line: each triple of runs ends before the
+    # first "\n" after its first run, and that "\n" is a later one for
+    # every later triple
+    breaks = np.flatnonzero(b == 10)
+    line = np.searchsorted(breaks, bounds[0::6])
+    if np.any(line[1:] == line[:-1]) or np.any(bounds[5::6] > np.append(breaks, b.size)[line]):
+        return None
+    vals = np.fromstring(raw, dtype=np.int64, sep=" ")
+    return vals if vals.size * 2 == bounds.size else None
 
 
 def _parse_lines(text: str) -> Automaton:
@@ -711,20 +743,30 @@ class OrderedPartition:
     def from_arrays(cls, members: np.ndarray, starts: np.ndarray) -> OrderedPartition:
         """The partition whose part i holds members[starts[i] : starts[i + 1]]."""
         p = cls.__new__(cls)
-        p._set(np.asarray(members, dtype=np.int64), np.array(starts, dtype=np.int64))
+        p._set(np.array(members, dtype=np.int64), np.array(starts, dtype=np.int64))
         return p
 
     def _set(self, members: np.ndarray, starts: np.ndarray) -> None:
+        """Check, sort inside parts and freeze arrays that no caller shares."""
         sizes = np.diff(starts)
         if np.any(sizes <= 0):
             raise ValueError(f"part {int(np.argmax(sizes <= 0))} is empty")
-        # sort the ids inside each part: by part index, then by id
-        members = members[np.lexsort((members, np.repeat(np.arange(sizes.size), sizes)))]
-        if not (starts[0] == 0 and np.array_equal(np.sort(members), np.arange(starts[-1]))):
+        n = members.size
+        if starts[0] != 0 or starts[-1] != n or (n and (members.min() < 0 or members.max() >= n)):
             raise ValueError("parts must partition the states 0..n-1")
+        seen = np.zeros(n, dtype=bool)
+        seen[members] = True  # n ids in 0..n-1 cover them all only if distinct
+        if not seen.all():
+            raise ValueError("parts must partition the states 0..n-1")
+        drop = members[1:] < members[:-1]
+        drop[starts[1:-1] - 1] = False  # a part may start below its predecessor's end
+        if drop.any():
+            # sort by part index, then by id, as the one key part * n + id
+            # (below n**2, exact in int64 for n under 3 * 10**9)
+            members = np.sort(np.repeat(np.arange(sizes.size), sizes) * n + members) % n
         members.flags.writeable = starts.flags.writeable = False
         self.members, self.starts = members, starts
-        self.n, self.k = members.size, sizes.size
+        self.n, self.k = n, sizes.size
 
     @cached_property
     def parts(self) -> list[list[int]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from copar.automaton import (
     validate,
 )
 from copar.examples import example_loop_dfa, example_quasi_wheeler_nfa
+from copar.generators import gen_wheeler_nfa
 
 
 def test_constructor_rejects_bad_edges():
@@ -553,6 +555,50 @@ def test_ordered_partition_arrays():
         OrderedPartition.from_arrays(np.array([0, 1, 1]), np.array([0, 1, 3]))
 
 
+@pytest.mark.parametrize(
+    "members, starts",
+    [
+        ([0, 2], [0, 1, 2]),  # state 1 missing, 2 out of range
+        ([0, 1, 1], [0, 1, 3]),  # state 1 twice, 2 missing
+        ([1, 0, 1], [0, 1, 3]),  # state 1 twice in different parts
+        ([0, -1, 2], [0, 1, 3]),  # negative state
+        ([0, 3, 2], [0, 1, 3]),  # state 3 past n = 3
+        ([0, 1, 2], [1, 2, 3]),  # parts that do not start at 0
+        ([0, 1, 2], [0, 1, 2]),  # parts that do not reach the last member
+    ],
+)
+def test_ordered_partition_refuses_what_is_not_a_partition(members, starts):
+    with pytest.raises(ValueError, match=r"^parts must partition the states 0\.\.n-1$"):
+        OrderedPartition.from_arrays(np.array(members), np.array(starts))
+    if starts[0] == 0 and starts[-1] == len(members):
+        parts = [members[lo:hi] for lo, hi in zip(starts, starts[1:])]
+        with pytest.raises(ValueError, match=r"^parts must partition the states 0\.\.n-1$"):
+            OrderedPartition(parts)
+
+
+@given(st.integers(1, 40), st.randoms(use_true_random=False), st.booleans())
+def test_ordered_partition_sorts_inside_each_part(n, rng, rising):
+    ids = list(range(n))
+    rng.shuffle(ids)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    starts = [0] + cuts + [n]
+    parts = [ids[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    if rising:
+        parts = [sorted(part) for part in parts]
+    members = np.array([v for part in parts for v in part])
+    p = OrderedPartition.from_arrays(members, np.array(starts))
+    assert p.parts == [sorted(part) for part in parts]
+    assert p.starts.tolist() == starts
+    assert members.flags.writeable  # the caller's array is not frozen
+    assert p.members.tolist() == [v for part in parts for v in sorted(part)]
+    assert p == OrderedPartition(parts)
+
+
+def test_ordered_partition_of_no_states():
+    p = OrderedPartition([])
+    assert (p.n, p.k, p.parts) == (0, 0, [])
+
+
 def test_equality_ignores_edge_storage_order():
     edges = [(0, 1, 0), (0, 2, 1), (1, 2, 1), (2, 2, 1)]
     a = Automaton(3, 2, 0, edges)
@@ -733,3 +779,101 @@ def test_fallback_keeps_line_numbers_and_warning_texts():
     assert caught == [(DuplicateEdgeWarning, "line 5: duplicate edge (0, 1, 0) dropped")]
     result, _ = _outcome(parse_automaton, "NFA 3 2 0 1\n0 1 0\n0 1\r0\n")
     assert result == ("ParseError", "line 3: edge line needs exactly '<from> <to> <letter>'")
+
+
+# --- parse_automaton in blocks: block boundaries against the line loop ---
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfa_texts(), st.integers(1, 24))
+def test_parse_in_small_blocks_matches_line_loop(text, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "PARSE_BLOCK", block)
+        assert _outcome(parse_automaton, text) == _outcome(automaton._parse_lines, text)
+
+
+# blocks of 1 to 7 characters cut every line of these texts, 12 and 13 hold
+# one or two edge lines, 40 most of the body
+_BLOCKS = [1, 2, 3, 7, 12, 13, 40]
+_HEAD = "# seed 7 · Grüße ✓\nNFA 20 6 0 3\n"  # a non-ASCII comment before the header
+_LINES = ["12 13 1", "13\t14  2", "  ", "", "14 15 0", "\t", "15 19 2", "0 1 0", "1 2 1"]
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize(
+    "text",
+    [
+        _HEAD + "\n".join(_LINES) + "\n",
+        _HEAD + "\n".join(_LINES),  # the last line has no "\n"
+        _HEAD + "\r\n".join(_LINES) + "\r\n",  # "\r\n" at every block end
+        _HEAD + "\n".join(_LINES) + "\n\n  \n",  # blank lines after the last edge
+    ],
+)
+def test_well_formed_text_in_small_blocks_skips_the_line_loop(text, block, line_loop_calls, monkeypatch):
+    monkeypatch.setattr(automaton, "PARSE_BLOCK", block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_automaton(text)
+    assert line_loop_calls == []
+    assert _outcome(parse_automaton, text) == _outcome(automaton._parse_lines, text)
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize(
+    "last, m",  # the text's last lines, after six good ones, and its declared edge count
+    [
+        ("19 0000000000000000001 0\n", 7),  # 19 digits
+        ("19 1\n0 19 2 1\n", 8),  # a 2-field line, then a 4-field line
+        ("19 1 0 0 19 1\n", 8),  # two edges on one line
+        ("19 1 0\r0 19 1\n", 7),  # lone CR
+        ("19 1 0\n0 19\r", 7),  # lone CR at the end of the text
+        ("0 1 0\n", 7),  # duplicate edge
+        ("19 1 3\n", 7),  # letter out of range
+        ("19 1 0\n19 2 0\n", 7),  # more edges than declared
+        ("  \n", 7),  # fewer edges than declared, in a body long enough for them
+        ("19 1 ٣\n", 7),  # non-ASCII digit
+    ],
+)
+def test_anomaly_in_a_later_block_falls_back(last, m, block, line_loop_calls, monkeypatch):
+    monkeypatch.setattr(automaton, "PARSE_BLOCK", block)
+    text = f"NFA 20 {m} 0 3\n" + "\n".join(_LINES) + "\n" + last
+    got = _outcome(parse_automaton, text)
+    assert line_loop_calls == [text]
+    assert got == _outcome(automaton._parse_lines, text)
+
+
+def test_a_huge_declared_edge_count_allocates_nothing(line_loop_calls):
+    # 3m values would need 24 PB; a body this short cannot hold m edge lines
+    text = "NFA 2 1000000000000000 0 1\n0 1 0\n"
+    got = _outcome(parse_automaton, text)
+    assert line_loop_calls == [text]
+    assert got == (("ParseError", "line 3: declared 1000000000000000 edges but found 1"), [])
+
+
+def test_parse_peak_memory_scales_with_the_edges_not_the_text():
+    """The parse's tracemalloc peak stays below len(text) + 48 * m bytes.
+
+    48 bytes an edge pay for the values (three int64, 24 bytes) and the
+    Automaton's int64 columns copied from them (24 more), which live
+    together while the constructor checks the rows; its row checks add a
+    few bool temporaries, about 4 bytes an edge. Everything else (a block's
+    text and bytes, its masks, digit-run bounds, newline positions and
+    values) scales with PARSE_BLOCK, not with the text. On this text,
+    about 13 characters an edge line, the parse peaks near 48 * m plus 0.3
+    bytes a character, so one byte a character leaves three times that in
+    headroom; yet one whole-text temporary of one byte a character, such
+    as an encoded copy of the body or a mask over it, breaks the bound. A
+    parse that converted the whole body in one numpy call measured 11.8
+    bytes a character, about 8 above 48 * m.
+    """
+    text = serialize_automaton(gen_wheeler_nfa(50_000, 3 * 49_999, 3, 7))
+    assert 1.9e6 < len(text) < 2.1e6
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        a = parse_automaton(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert a.m == 3 * 49_999
+    assert peak < len(text) + 48 * a.m, (peak, len(text), a.m)
