@@ -8,8 +8,9 @@ With numba installed the functions are njit-compiled (cached); without it
 the same code runs as plain Python over zero-copy memoryviews of the engine
 arrays (kernel_view), whose items read and write as plain ints, so
 behaviour is byte-for-byte equivalent. On that backend run_full can hand a
-splitter with many out-edges back to partition.run_refinement, which splits
-against it in numpy; compiled, every round stays here.
+plain refinement's splitter with many out-edges back to
+partition.run_refinement, which splits against it in numpy; compiled, and
+in every pruning refinement, every round stays here.
 
 The engine arrays travel as one Engine namedtuple. run_full unpacks it
 once per call and keeps the registers a round updates in locals, writing
@@ -200,8 +201,8 @@ def run_full(regs, st, prune, max_rounds, big_load):
     load (|B| plus the out-degrees of its states, summed only until it
     reaches big_load) reaches big_load is handed back pending: run_full
     returns with SPART >= 0 and the caller splits against it
-    (partition.run_refinement passes NUMPY_ROUND_BLOCK on the pure-Python
-    backend, else 0).
+    (partition.run_refinement passes NUMPY_ROUND_BLOCK for a plain
+    refinement on the pure-Python backend, else 0).
     A pending splitter is split first on the next call; SPART is -1 when
     none is pending.
 

@@ -115,7 +115,7 @@ def check_wheeler_order(a: Automaton, order: Sequence[int]) -> OrderCheck:
     the earlier source lies strictly after a target of the later one).
     """
     order = [int(v) for v in order]
-    if sorted(order) != list(range(a.n)):
+    if len(order) != a.n or sorted(order) != list(range(a.n)):
         return OrderCheck(False, "not-a-permutation", tuple(order))
     if order[0] != a.source:
         return OrderCheck(False, "source-not-first", (order[0],))

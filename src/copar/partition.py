@@ -30,20 +30,19 @@ deletion log: a deleted edge sits past its target's live end in in_lst.
 
 A round runs in one of two modes. The kernel round walks B's out-edges one
 at a time: compiled with numba, else as plain Python at about 1 us an edge.
-On the pure-Python backend, run_refinement splits against a splitter whose
-load, |B| plus the out-degrees of its states, reaches NUMPY_ROUND_BLOCK in
-a numpy round (_numpy_round), which leaves the same engine up to record
-ids, the order inside parts and, under pruning, the order inside each
-adjacency list. A numpy round costs 0.25-0.4 ms even against a splitter of
-a few edges (a kernel round 10-30 us), so it pays from a few hundred edges
-on. Compiled kernels never take it, since they walk an edge in
-nanoseconds. A pruning numpy round scans the D_11 states' in-edges as the
-kernel does and moves each doomed edge past the live ends with the swap
-its state moves use, so a deletion costs O(1), as in the kernel. The numpy
-round works in blocks of at most NUMPY_ROUND_BLOCK edges or
-states: unblocked, a round's temporaries span the whole splitter and raise
-the peak RSS of a wheeler-sort benchmark run by 10% (46.0 to 50.6 MB, seed
-7), by about as much with glibc's mmap threshold pinned.
+On the pure-Python backend, run_refinement splits a plain refinement
+against a splitter whose load, |B| plus the out-degrees of its states,
+reaches NUMPY_ROUND_BLOCK in a numpy round (_numpy_round), which leaves the
+same engine up to record ids and the order inside parts. A numpy round
+costs 0.25-0.4 ms even against a splitter of a few edges (a kernel round
+10-30 us), so it pays from a few hundred edges on. Compiled kernels never
+take it, since they walk an edge in nanoseconds, and neither do pruning
+refinements: every pruning round is a kernel round, so _kernels._prune_d11
+is the one implementation of edge deletion. The numpy round works in
+blocks of at most NUMPY_ROUND_BLOCK edges or states: unblocked, a round's
+temporaries span the whole splitter and raise the peak RSS of a
+wheeler-sort benchmark run by 10% (46.0 to 50.6 MB, seed 7), by about as
+much with glibc's mmap threshold pinned.
 Refinement.step always runs the kernel round.
 """
 
@@ -327,14 +326,15 @@ def run_refinement(ref: Refinement) -> None:
 
     The loop over rounds runs inside run_full: compiled with numba, else as
     plain Python over zero-copy memoryviews of the engine arrays. On the
-    pure-Python backend, pruning or not, run_full hands back every splitter
-    whose load reaches NUMPY_ROUND_BLOCK, and _numpy_round splits against
-    it before run_full resumes. A refinement of n states takes at most n - 1
-    rounds; reaching n + 2 is reported as a round overrun.
+    pure-Python backend, a plain refinement's run_full hands back every
+    splitter whose load reaches NUMPY_ROUND_BLOCK, and _numpy_round splits
+    against it before run_full resumes; a pruning one runs kernel rounds
+    only. A refinement of n states takes at most n - 1 rounds; reaching
+    n + 2 is reported as a round overrun.
     """
     r = ref.regs
     prune = int(ref.prune)
-    big_load = 0 if K.HAVE_NUMBA else NUMPY_ROUND_BLOCK
+    big_load = 0 if K.HAVE_NUMBA or ref.prune else NUMPY_ROUND_BLOCK
     limit = ref.n + 2
     K.run_full(ref._kregs, ref._st, prune, limit, big_load)
     while r[K.R_STATUS] == K.STATUS_OK and r[K.R_SPART] >= 0:
@@ -374,15 +374,15 @@ def _numpy_round(ref: Refinement) -> None:
     the splitter and counts the round.
 
     Leaves the engine as the kernel would, up to which count records are
-    used and the order of the states inside a part and of the edges inside
-    an adjacency list: the same counts, record and free-stack sizes, round
-    marks, xs, D_12 and D_11, the same new parts and, under pruning, the
-    same live edges. Blocks of at most NUMPY_ROUND_BLOCK edges walk B's
-    out-edges in the kernel's order. A free record taken by the kernel on
-    x's first edge may be one that a later edge frees, so the fresh records
-    a block takes are computed from the running balance of first touches
-    over frees, and a block takes its new records from the free stack, the
-    records it frees and those fresh ones.
+    used and the order of the states inside a part: the same counts, record
+    and free-stack sizes, round marks, xs, D_12 and D_11 and the same new
+    parts. Plain refinements only: it deletes no edge. Blocks of at most
+    NUMPY_ROUND_BLOCK edges walk B's out-edges in the kernel's order. A
+    free record taken by the kernel on x's first edge may be one that a
+    later edge frees, so the fresh records a block takes are computed from
+    the running balance of first touches over frees, and a block takes its
+    new records from the free stack, the records it frees and those fresh
+    ones.
     """
     blk = NUMPY_ROUND_BLOCK
     r = ref.regs
@@ -398,8 +398,7 @@ def _numpy_round(ref: Refinement) -> None:
         ref.splitcnt[ys] += 1
         for _, j in _spans(ref.out_ptr[ys], ref.out_len[ys], blk):
             es = ref.out_lst[j]
-            if not ref.prune:  # pruning runs mark no state ALONE
-                es = es[seen_gen[edst[es]] != K.ALONE]
+            es = es[seen_gen[edst[es]] != K.ALONE]
             if es.size == 0:
                 continue
             xb = edst[es]
@@ -450,64 +449,21 @@ def _numpy_round(ref: Refinement) -> None:
         n11 += one.size
     r[K.R_N12] = n12
     bfirst = bool(r[K.R_BFIRST])
-    if ref.prune:
-        r[K.R_FREETOP] = _numpy_prune(ref, ref.d11[:n11], bfirst, b, int(r[K.R_SPART]), ftop)
-        _numpy_move(ref, xs[:nxs] if bfirst else ref.d12[:n12], bfirst)
-    else:
-        _numpy_move(ref, ref.d12[:n12], bfirst)
-        if r[K.R_STATUS] == K.STATUS_OK:
-            _numpy_move(ref, ref.d11[:n11], bfirst)
+    _numpy_move(ref, ref.d12[:n12], bfirst)
+    if r[K.R_STATUS] == K.STATUS_OK:
+        _numpy_move(ref, ref.d11[:n11], bfirst)
     r[K.R_ROUNDS] += 1
     r[K.R_SPART] = -1
 
 
-def _numpy_prune(ref: Refinement, d11: np.ndarray, bfirst: bool, b: int, s: int, ftop: int) -> int:
-    """The kernel's _prune_d11 in numpy: deletes the in-edges of the D_11
-    states from the side that comes later in the part order (source in
-    X-part s when B was first, else in part b), decrements their count
-    records, pushes those reaching zero on the free stack and returns its
-    new top. Runs before any state moves. The doomed edges are all found
-    before any is moved, since a deletion reorders the in-lists scanned;
-    then blocks of them are deleted."""
-    blk = NUMPY_ROUND_BLOCK
-    esrc, edst, partof, cnt_val = ref.esrc, ref.edst, ref.partof, ref.cnt_val
-    doomed = [np.zeros(0, dtype=np.int64)]
-    for _, j in _spans(ref.in_ptr[d11], ref.in_len[d11], blk):
-        es = ref.in_lst[j]
-        p = partof[esrc[es]]
-        doomed.append(es[ref.xof[p] == s] if bfirst else es[p == b])
-    doomed = np.concatenate(doomed)
-    for i0 in range(0, doomed.size, blk):
-        de = doomed[i0 : i0 + blk]
-        # the scan leaves each target's doomed edges in one run, and they
-        # share one count record: that of the target and their X-part
-        x = edst[de]
-        starts = np.flatnonzero(np.append(True, x[1:] != x[:-1]))
-        cnt = np.diff(np.append(starts, de.size))
-        rec = ref.cnt_ref[de[starts]]
-        cnt_val[rec] -= cnt
-        z = rec[cnt_val[rec] == 0]
-        ref.free_stk[ftop : ftop + z.size] = z
-        ftop += z.size
-        tgt = x[starts]
-        ref.in_len[tgt] -= cnt
-        _swap_into(ref.in_lst, ref.in_pos, de, starts, cnt, ref.in_ptr[tgt] + ref.in_len[tgt])
-        order, new = sorted_runs(esrc[de])
-        starts = np.flatnonzero(new)
-        cnt = np.diff(np.append(starts, de.size))
-        src = esrc[de[order[starts]]]
-        ref.out_len[src] -= cnt
-        _swap_into(ref.out_lst, ref.out_pos, de[order], starts, cnt, ref.out_ptr[src] + ref.out_len[src])
-    return ftop
-
-
 def _swap_into(seq: np.ndarray, pos: np.ndarray, items: np.ndarray, starts: np.ndarray, cnt: np.ndarray,
                lo: np.ndarray) -> None:
-    """Swap items into target spans of seq, pos its inverse: the run of
-    cnt[g] items from items[starts[g]] on fills the slots from lo[g] on, a
-    span inside the range of seq that holds run g's items and no other
-    run's. An item already inside its span stays put; the others swap with
-    the foreign items there."""
+    """Swap items into target spans of seq, pos its inverse (the state
+    sequence elems and pos, as _numpy_move moves states): the run of cnt[g]
+    items from items[starts[g]] on fills the slots from lo[g] on, a span
+    inside the range of seq that holds run g's items and no other run's. An
+    item already inside its span stays put; the others swap with the
+    foreign items there."""
     n = items.size
     run0, base = np.repeat(starts, cnt), np.repeat(lo, cnt)
     span = base + np.arange(n) - run0  # the slot row i fills
@@ -568,9 +524,9 @@ def _numpy_move(ref: Refinement, move: np.ndarray, to_front: bool) -> None:
         ref.xof[q] = xp
         for own, j in _spans(pbeg[q], k, blk):
             partof[elems[j]] = q[own]
-        if not ref.prune:  # mark the states left alone, as the kernel does
-            ref.seen_gen[elems[pbeg[q[k == 1]]]] = K.ALONE
-            ref.seen_gen[elems[pbeg[sp[pend[sp] - pbeg[sp] == 1]]]] = K.ALONE
+        # mark the states left alone, as the kernel does
+        ref.seen_gen[elems[pbeg[q[k == 1]]]] = K.ALONE
+        ref.seen_gen[elems[pbeg[sp[pend[sp] - pbeg[sp] == 1]]]] = K.ALONE
         # an X-part of one part is touched at most once per move
         compound = xp[ref.xcnt[xp] == 1].tolist()
         np.add.at(ref.xcnt, xp, 1)

@@ -214,11 +214,14 @@ def test_criterion_8_performance_and_scaling():
     del desc
     assert res.quasi_wheeler and (flipped == res.partition.k - 1 - res.partition.as_class_array()).all()
     # from one doubling above 5**6: at 5**6 a sort took 6-17 ms on a shared
-    # 2-vCPU host, where one scheduling stall could lift a ratio past 3.0
+    # 2-vCPU host, where one scheduling stall could lift a ratio past 3.0.
+    # A stall only adds time, so each size keeps its smallest median of
+    # three sweeps.
     sizes = [5**6 * 2**i for i in range(1, 6)]
-    rows = bench_scaling(sizes, trials=5, ops=("sort",), seed=1729)
-    ratios = [b.median_ms / a.median_ms for a, b in zip(rows, rows[1:])]
-    if any(r.max_splitters > r.n.bit_length() for r in rows):
+    sweeps = [bench_scaling(sizes, trials=5, ops=("sort",), seed=1729) for _ in range(3)]
+    best = [min(r.median_ms for r in same) for same in zip(*sweeps)]
+    ratios = [b / a for a, b in zip(best, best[1:])]
+    if any(r.max_splitters > r.n.bit_length() for rows in sweeps for r in rows):
         _report(8, False, "splitter counter exceeds floor(log2 n) + 1 in the scaling suite")
     ok = all(r <= 3.0 for r in ratios)
     detail = (

@@ -283,6 +283,15 @@ def test_make_ic_ignores_the_header_state_count(capsys, monkeypatch):
     assert peak < 1 << 20
 
 
+def test_check_order_compares_lengths_before_any_work_per_state(tmp_path, capsys):
+    # a 24-byte header declares 10^12 states; a per-state list would not fit
+    nfa, order = tmp_path / "huge.nfa", tmp_path / "one.order"
+    nfa.write_text("NFA 1000000000000 0 0 0\n")
+    order.write_text(serialize_order([0]))
+    assert cli.main(["check", str(nfa), "--order", str(order)]) == 2
+    assert capsys.readouterr().out == "FAIL: not-a-permutation (0,)\n"
+
+
 def test_check_order_visits_only_used_letters(tmp_path, capsys, monkeypatch):
     nfa = tmp_path / "wide.nfa"
     nfa.write_text("NFA 3 2 0 1000000\n0 1 7\n0 2 999999\n")

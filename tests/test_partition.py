@@ -496,26 +496,14 @@ def test_stepping_matches_one_run_full_call(kind, mode, order):
         assert stepped.done and stepped.rounds == k - 1
 
 
-# every family without pruning, and the DFAs, for which pruning is defined,
-# with it
-NUMPY_CASES = [pytest.param(kind, "off", id=kind) for kind in FAMILIES]
-NUMPY_CASES.append(pytest.param("dfa", "keep-first", id="dfa-keep-first"))
-
-
-def _live_edges(ref: Refinement) -> np.ndarray:
-    """The ids of the edges pruning has not deleted, ascending."""
-    return np.sort(ref.in_lst[ref.live_in_slots()]) if ref.prune else np.arange(ref.m)
-
-
 @pytest.mark.parametrize("order", ["ascending", "descending"])
-@pytest.mark.parametrize("kind,mode", NUMPY_CASES)
-def test_numpy_rounds_match_the_kernel(kind, mode, order, monkeypatch):
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_numpy_rounds_match_the_kernel(kind, order, monkeypatch):
     """With the constant at 1 every round is a numpy round of one-edge
     blocks; at 2 or 3, rounds of smaller loads stay in the kernel and the
-    others span several blocks; at 1024 only the large splitters of a
-    full-size pruning input take numpy rounds. Partitions, rounds, splitter
-    counts, deleted edges and kept in-edges equal a kernel-only run, and the
-    engine invariants hold after every numpy round up to n = 200."""
+    others span several blocks. Partitions, rounds and splitter counts
+    equal a kernel-only run, and the engine invariants hold after every
+    numpy round up to n = 200."""
     numpy_rounds = []
     one_round = partition._numpy_round
 
@@ -527,64 +515,69 @@ def test_numpy_rounds_match_the_kernel(kind, mode, order, monkeypatch):
 
     monkeypatch.setattr(partition, "_numpy_round", checked_round)
     sizes = [(0, 5, 1), (1, 12, 1), (2, 30, 1), (3, 60, 1), (6, 40, 2), (4, 500, 1), (5, 2000, 3)]
-    cases = [(_family(kind, n, seed), blk) for seed, n, blk in sizes]
-    if mode == "keep-first":  # the shape of the dfa-colex input
-        cases.append((gen_random_dfa(8_000, 4, 7, m=16_000), 1024))
-    for a, blk in cases:
-        kernel = init_refinement(a, order, prune=PRUNE[mode])
+    for seed, n, blk in sizes:
+        a = _family(kind, n, seed)
+        kernel = init_refinement(a, order)
         _step_to_end(kernel)
         monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", blk)
         numpy_rounds.clear()
-        ref = init_refinement(a, order, prune=PRUNE[mode])
+        ref = init_refinement(a, order)
         run_refinement(ref)
         assert 0 < len(numpy_rounds) <= ref.rounds
         assert blk > 1 or len(numpy_rounds) == ref.rounds
         assert ref.snapshot_partition() == kernel.snapshot_partition()
         assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
-        assert ref.deleted_edge_ids() == kernel.deleted_edge_ids()
-        if ref.prune:
-            direction = "inf" if order == "ascending" else "sup"
-            kept = [prune._assemble(a, direction, r).kept_src for r in (ref, kernel)]
-            assert np.array_equal(*kept)
 
 
-def _state_after(a: Automaton, order: str, mode: str, rounds: int) -> Refinement:
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_pruning_run_matches_the_stepped_kernel_at_full_size(order, monkeypatch):
+    """On the shape of the dfa-colex input, run_refinement and a stepped
+    run of the same pruning refinement leave the same partition, rounds,
+    splitter counts, deleted edges and kept in-edges, and no numpy round
+    runs."""
+    numpy_rounds = []
+    monkeypatch.setattr(partition, "_numpy_round", numpy_rounds.append)
+    a = gen_random_dfa(8_000, 4, 7, m=16_000)
+    kernel = init_refinement(a, order, prune=True)
+    _step_to_end(kernel)
+    ref = init_refinement(a, order, prune=True)
+    run_refinement(ref)
+    assert numpy_rounds == []
+    assert ref.snapshot_partition() == kernel.snapshot_partition()
+    assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
+    assert ref.deleted_edge_ids() == kernel.deleted_edge_ids()
+    direction = "inf" if order == "ascending" else "sup"
+    kept = [prune._assemble(a, direction, r).kept_src for r in (ref, kernel)]
+    assert np.array_equal(*kept)
+
+
+def _state_after(a: Automaton, order: str, rounds: int) -> Refinement:
     """The engine after that many kernel rounds, with the next splitter pending."""
-    ref = init_refinement(a, order, prune=PRUNE[mode])
+    ref = init_refinement(a, order)
     for _ in range(rounds):
         ref.step()
     _select(ref)
     return ref
 
 
-def _adjacency(ref: Refinement) -> tuple[list[list[int]], list[list[int]]]:
-    """Each state's live in-edges and out-edges, sorted."""
-    outs = [
-        sorted(ref.out_lst[ref.out_ptr[u] : ref.out_ptr[u] + ref.out_len[u]].tolist())
-        for u in range(ref.n)
-    ]
-    return [sorted(ref.surviving_in_edges(v)) for v in range(ref.n)], outs
-
-
 @pytest.mark.parametrize("blk", [1, 2, 1024])
-@pytest.mark.parametrize("kind,mode", NUMPY_CASES)
-def test_numpy_round_leaves_the_kernel_state(kind, mode, blk, monkeypatch):
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_numpy_round_leaves_the_kernel_state(kind, blk, monkeypatch):
     """From the same state, one numpy round and one kernel round leave the
-    same engine, up to record ids, the order inside each part and the order
-    of the edges inside each adjacency list."""
+    same engine, up to record ids and the order inside each part."""
     monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", blk)
     for seed in range(4):
         a = _family(kind, random.Random(seed).randint(5, 40), seed)
         order = ["ascending", "descending"][seed % 2]
-        total = init_refinement(a, order, prune=PRUNE[mode])
+        total = init_refinement(a, order)
         _step_to_end(total)
         for k in range(total.rounds):
-            want, got = _state_after(a, order, mode, k), _state_after(a, order, mode, k)
+            want, got = _state_after(a, order, k), _state_after(a, order, k)
             want.step()
             partition._numpy_round(got)
             assert np.array_equal(got.regs, want.regs)
             for f in ("splitcnt", "seen_gen", "partof", "pbeg", "pend", "xof",
-                      "xbeg", "xend", "xcnt", "heap", "moved_cnt"):
+                      "xbeg", "xend", "xcnt", "heap", "moved_cnt", "out_lst", "out_len", "in_len"):
                 assert np.array_equal(getattr(got, f), getattr(want, f)), f
             r = got.regs
             nxs, n12 = r[K.R_NXS], r[K.R_N12]
@@ -592,14 +585,8 @@ def test_numpy_round_leaves_the_kernel_state(kind, mode, blk, monkeypatch):
                 assert np.array_equal(getattr(got, f)[:size], getattr(want, f)[:size]), f
             assert _parts_by_id(got) == _parts_by_id(want)
             assert np.array_equal(got.pos[got.elems], np.arange(got.n))
-            assert _adjacency(got) == _adjacency(want)
-            if mode == "keep-first":
-                for lst, at in ((got.in_lst, got.in_pos), (got.out_lst, got.out_pos)):
-                    assert np.array_equal(at[lst], np.arange(got.m))
-            # the same grouping of live edges into records, with the same
-            # counts; a deleted edge keeps a stale record id
-            live = _live_edges(got)
-            gref, wref = got.cnt_ref[live], want.cnt_ref[live]
+            # the same grouping of edges into records, with the same counts
+            gref, wref = got.cnt_ref, want.cnt_ref
             assert np.array_equal(got.cnt_val[gref], want.cnt_val[wref])
             pairs = set(zip(gref.tolist(), wref.tolist()))
             assert len(pairs) == len({p for p, _ in pairs}) == len({q for _, q in pairs})
@@ -625,11 +612,12 @@ def test_record_capacity_breach_in_either_round(threshold, monkeypatch):
     assert ref.regs[K.R_STATUS] == K.STATUS_RECORD_CAP
 
 
-@pytest.mark.parametrize("numba,mode", [(True, "off"), (True, "keep-first"), (False, "keep-first")])
+@pytest.mark.parametrize("numba,mode", [(True, "off"), (True, "keep-first"), (False, "keep-first"), (False, "off")])
 def test_only_the_python_backend_hands_splitters_back(numba, mode, monkeypatch):
-    """Compiled, run_refinement makes one run_full call with big_load 0; on
-    the pure-Python backend pruning runs, like plain ones, pass
-    NUMPY_ROUND_BLOCK and get large splitters handed back."""
+    """Compiled, and in a pruning run on the pure-Python backend,
+    run_refinement makes one run_full call with big_load 0; a plain run on
+    the pure-Python backend passes NUMPY_ROUND_BLOCK on every call and gets
+    large splitters handed back."""
     monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", 1)
     monkeypatch.setattr(K, "HAVE_NUMBA", numba)
     calls = []
@@ -644,7 +632,7 @@ def test_only_the_python_backend_hands_splitters_back(numba, mode, monkeypatch):
     ref = init_refinement(a, prune=PRUNE[mode])
     run_refinement(ref)
     assert ref.rounds > 1
-    assert calls == ([0] if numba else [1] * (ref.rounds + 1))
+    assert calls == ([0] if numba or ref.prune else [1] * (ref.rounds + 1))
     kernel = init_refinement(a, prune=PRUNE[mode])
     _step_to_end(kernel)
     assert ref.snapshot_partition() == kernel.snapshot_partition()
