@@ -551,6 +551,27 @@ def test_pruning_run_matches_the_stepped_kernel_at_full_size(order, monkeypatch)
     assert np.array_equal(*kept)
 
 
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_pruning_run_takes_no_numpy_round_at_block_one(order, monkeypatch):
+    """On the pure-Python backend with the constant at 1, where a plain run
+    takes a numpy round for every splitter, pruning runs of small DFAs take
+    none and equal a stepped kernel run, deleted edges included."""
+    numpy_rounds = []
+    monkeypatch.setattr(partition, "_numpy_round", numpy_rounds.append)
+    monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", 1)
+    monkeypatch.setattr(K, "HAVE_NUMBA", False)
+    for seed, n in [(0, 5), (1, 12), (2, 30), (3, 60), (6, 40), (4, 500), (5, 2000)]:
+        a = _family("dfa", n, seed)
+        kernel = init_refinement(a, order, prune=True)
+        _step_to_end(kernel)
+        ref = init_refinement(a, order, prune=True)
+        run_refinement(ref)
+        assert numpy_rounds == []
+        assert ref.snapshot_partition() == kernel.snapshot_partition()
+        assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
+        assert ref.deleted_edge_ids() == kernel.deleted_edge_ids()
+
+
 def _state_after(a: Automaton, order: str, rounds: int) -> Refinement:
     """The engine after that many kernel rounds, with the next splitter pending."""
     ref = init_refinement(a, order)
