@@ -130,7 +130,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         _write(None, f"FAIL: {res.kind} {res.witness}\n")
         return 2
     text = _read(args.partition)
-    lines = [ln for ln in text.splitlines() if not ln.startswith("QUASI_WHEELER:")]
+    # blanked, not dropped, so parse errors keep their line numbers
+    lines = ["" if ln.startswith("QUASI_WHEELER:") else ln for ln in text.splitlines()]
     claimed = parse_ordered_partition("\n".join(lines) + "\n")
     if claimed == refine_all(a):
         _write(None, "PASS: partition matches the refinement output\n")

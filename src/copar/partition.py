@@ -24,9 +24,12 @@ that leaves a state alone in its part marks it (seen_gen =
 _kernels.ALONE), and every later round skips the edges into it, so its
 count records go stale: a pruning round must still find a D_11
 singleton's records exact, so pruning runs mark nothing. Only a pruning
-refinement builds the arrays that edge deletion updates (in_lst, in_pos
-and out_pos); a plain one holds 1-element placeholders. There is no
-deletion log: a deleted edge sits past its target's live end in in_lst.
+refinement builds the arrays that edge deletion updates: the in-edge CSR
+(in_lst, in_ptr, in_len) and the edge positions (in_pos, out_pos). A
+plain one holds 1-element placeholders and counts its first records with
+one bincount of the targets. There is no deletion log: a deleted edge sits
+past its target's live end in in_lst, and code outside the engine reads
+deletions through alive_edges() alone.
 
 A round runs in one of two modes. The kernel round walks B's out-edges one
 at a time: compiled with numba, else as plain Python at about 1 us an edge.
@@ -110,19 +113,18 @@ class Refinement:
         self.esrc = np.asarray(a.esrc, dtype=np.int64)
         self.edst = np.asarray(a.edst, dtype=np.int64)
         self.out_lst, self.out_ptr, self.out_len = csr(self.esrc, n)
-        self.in_len = np.bincount(self.edst, minlength=n)
-        self.in_ptr = np.cumsum(self.in_len) - self.in_len
+        self.cnt_val = np.zeros(rcap, dtype=np.int64)
         if self.prune:
-            self.in_lst = csr(self.edst, n)[0]
+            self.in_lst, self.in_ptr, self.in_len = csr(self.edst, n)
             self.in_pos = np.empty(m, dtype=np.int64)
             self.in_pos[self.in_lst] = np.arange(m, dtype=np.int64)
             self.out_pos = np.empty(m, dtype=np.int64)
             self.out_pos[self.out_lst] = np.arange(m, dtype=np.int64)
+            self.cnt_val[:n] = self.in_len
         else:  # only pruning deletes edges; the kernels never read these
-            self.in_lst = self.in_pos = self.out_pos = np.zeros(1, dtype=np.int64)
-
-        self.cnt_val = np.zeros(rcap, dtype=np.int64)
-        self.cnt_val[:n] = self.in_len
+            self.in_lst = self.in_ptr = self.in_len = np.zeros(1, dtype=np.int64)
+            self.in_pos = self.out_pos = self.in_lst
+            self.cnt_val[:n] = np.bincount(self.edst, minlength=n)
         self.cnt_ref = self.edst.copy()
         self.free_stk = np.zeros(rcap, dtype=np.int64)
 
@@ -193,16 +195,17 @@ class Refinement:
             return np.flatnonzero(self.edst == v).tolist()
         return self.in_lst[self.in_ptr[v] : self.in_ptr[v] + self.in_len[v]].tolist()
 
+    def alive_edges(self) -> np.ndarray:
+        """One bool per edge id: whether pruning has left the edge alive.
+        A live edge sits before its target's live end in in_lst, past which
+        swap-remove moves every deleted one; without pruning all are alive."""
+        if not self.prune:
+            return np.ones(self.m, dtype=bool)
+        return self.in_pos - self.in_ptr[self.edst] < self.in_len[self.edst]
+
     def deleted_edge_ids(self) -> list[int]:
         """Edge ids deleted by pruning so far, ascending."""
-        return np.sort(self.in_lst[~self.live_in_slots()]).tolist() if self.prune else []
-
-    def live_in_slots(self) -> np.ndarray:
-        """Under pruning, which slots of in_lst hold a live edge: those
-        before their target's live end, where swap-remove leaves none of the
-        deleted edges."""
-        owner = self.edst[self.in_lst]
-        return np.arange(self.m) - self.in_ptr[owner] < self.in_len[owner]
+        return np.flatnonzero(~self.alive_edges()).tolist()
 
     def _raise_status(self) -> None:
         status = int(self.regs[K.R_STATUS])

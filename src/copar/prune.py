@@ -87,21 +87,13 @@ def refine_with_pruning(a: Automaton, direction: str, *, checked: bool = False) 
 
 def _assemble(a: Automaton, direction: str, ref: Refinement) -> PrunedAutomaton:
     n = a.n
-    lens = ref.in_len
-    empty = np.flatnonzero((lens == 0) & (np.arange(n) != a.source))
+    alive = ref.alive_edges()
+    kept = np.full(n, n, dtype=np.int64)  # n: no live in-edge
+    np.minimum.at(kept, a.edst[alive], a.esrc[alive])
+    kept[a.source] = -1
+    empty = np.flatnonzero(kept == n)
     if empty.size:
         raise RuntimeError(f"pruning removed every in-edge of state {int(empty[0])}")
-    # in_lst holds each state's in-edges in turn, live ones first
-    alive = ref.live_in_slots()
-    live = ref.in_lst[alive]
-    starts = np.cumsum(lens) - lens
-    kept = np.full(n, -1, dtype=np.int64)
-    nz = np.flatnonzero(lens)
-    if nz.size:
-        kept[nz] = np.minimum.reduceat(a.esrc[live], starts[nz])
-    kept[a.source] = -1
-    alive_edge = np.empty(a.m, dtype=bool)
-    alive_edge[ref.in_lst] = alive
     return PrunedAutomaton(
         base=a,
         direction=direction,
@@ -109,7 +101,7 @@ def _assemble(a: Automaton, direction: str, ref: Refinement) -> PrunedAutomaton:
         partition=ref.snapshot_partition(),
         rounds=ref.rounds,
         max_splitter_count=ref.max_splitter_count,
-        _alive=alive_edge,
+        _alive=alive,
     )
 
 

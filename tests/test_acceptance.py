@@ -14,6 +14,8 @@ import random
 import resource
 import time
 
+import numpy as np
+
 from copar.automaton import Automaton, path_dfa, reverse_automaton
 from copar.colex import build_merged_graph, colex_order, suffix_doubling_ranks
 from copar.examples import (
@@ -260,6 +262,29 @@ def test_criterion_8_work_bound():
                 _report(8, False, f"{detail}, cap {cap}")
             rows.append(f"{name} n={n}: {states / (n * cap):.2f}/{scanned / (a.m * cap):.2f}")
     _report(8, True, "splitter states/edges scanned over their bounds: " + ", ".join(rows))
+
+
+def test_criterion_8_pruning_work_bound():
+    """The same bound for pruning runs on DFAs, whose edges scanned are
+    bounded with the out-degrees before any deletion, since deleting only
+    lowers them. Every state but the source keeps an in-edge, so at most
+    m - (n - 1) edges are deleted."""
+    rows = []
+    for n in (1_000, 10_000, 100_000):
+        a = gen_random_dfa(n, 4, n, m=2 * n)
+        out_degree = np.bincount(a.esrc, minlength=n)
+        cap = n.bit_length()  # floor(log2 n) + 1
+        for order in ("ascending", "descending"):
+            ref = init_refinement(a, order, prune=True)
+            run_refinement(ref)
+            states = int(ref.splitcnt.sum())
+            scanned = int((ref.splitcnt * out_degree).sum())
+            deleted = len(ref.deleted_edge_ids())
+            if states > n * cap or scanned > a.m * cap or deleted > a.m - (n - 1):
+                detail = f"{order} n={n}: {states} splitter states, {scanned} edges scanned, {deleted} deleted"
+                _report(8, False, f"{detail}, cap {cap}")
+            rows.append(f"{order} n={n}: {states / (n * cap):.2f}/{scanned / (a.m * cap):.2f}/{deleted}")
+    _report(8, True, "splitter states/edges scanned over their bounds/edges deleted: " + ", ".join(rows))
 
 
 def test_criterion_9_suffix_doubling_saturation():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 import warnings
 
@@ -43,6 +44,24 @@ def test_constructor_rejects_bad_edges():
         Automaton(2, 1, 2, [(0, 1, 0)])
     with pytest.raises(ValueError):
         Automaton(2, 1, 0, [(0, 1, 0), (0, 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Automaton(0, 1, 0, []), "need at least one state, got n=0"),
+        (lambda: Automaton(2, -1, 0, []), "alphabet size must be >= 0, got -1"),
+        (lambda: Automaton(2, 1, 0, (np.array([0]), np.array([1]), np.array([], dtype=np.int64))),
+         "edge arrays must have equal length"),
+        (lambda: quotient(example_loop_dfa(), OrderedPartition([[0], [1]])),
+         "partition covers 2 states, automaton has 3"),
+        (lambda: path_dfa([0, -1, 1]), "letters must be >= 0"),
+    ],
+    ids=["no-states", "negative-sigma", "unequal-columns", "quotient-over-another-n", "negative-letter"],
+)
+def test_malformed_arguments_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_duplicate_check_does_not_wrap_on_large_headers():

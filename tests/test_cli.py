@@ -104,6 +104,14 @@ def test_check_partition_accepts_sort_output(loop_path, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_partition_reports_the_line_of_a_bad_field(loop_path, tmp_path, capsys):
+    """The QUASI_WHEELER: line that `copar sort` writes counts as a line."""
+    part = tmp_path / "claimed.ordpart"
+    part.write_text("ORDPART 3\nQUASI_WHEELER: true\n0: 0\n1: x\n2: 2\n")
+    assert cli.main(["check", loop_path, "--partition", str(part)]) == 3
+    assert capsys.readouterr().err == "parse error: line 4: part line fields must be integers\n"
+
+
 def test_check_partition_accepts_sort_output_of_a_sturmian_path(tmp_path, capsys, monkeypatch):
     """`copar sort` ranks a path by prefix doubling on the pure-Python
     backend and `copar check --partition` reruns the engine, so the two

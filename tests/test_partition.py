@@ -170,15 +170,17 @@ def test_only_a_pruning_refinement_builds_the_deletion_arrays():
     a = gen_random_dfa(20, 2, 4)
     plain = init_refinement(a)
     pruning = init_refinement(a, prune=True)
-    for f in ("in_lst", "in_pos", "out_pos"):
+    for f, size in (("in_lst", a.m), ("in_ptr", a.n), ("in_len", a.n), ("in_pos", a.m), ("out_pos", a.m)):
         assert getattr(plain, f).size == 1, f
-        assert getattr(pruning, f).size == a.m, f
+        assert getattr(pruning, f).size == size, f
     for v in range(a.n):
         assert sorted(plain.surviving_in_edges(v)) == sorted(pruning.surviving_in_edges(v))
     run_refinement(plain)
     run_refinement(pruning)
-    assert plain.deleted_edge_ids() == []
+    assert plain.deleted_edge_ids() == [] and plain.alive_edges().all()
     assert pruning.deleted_edge_ids()
+    live = {e for v in range(a.n) for e in pruning.surviving_in_edges(v)}
+    assert set(np.flatnonzero(pruning.alive_edges()).tolist()) == live
 
 
 @pytest.mark.parametrize("prune", [False, True])
@@ -598,7 +600,7 @@ def test_numpy_round_leaves_the_kernel_state(kind, blk, monkeypatch):
             partition._numpy_round(got)
             assert np.array_equal(got.regs, want.regs)
             for f in ("splitcnt", "seen_gen", "partof", "pbeg", "pend", "xof",
-                      "xbeg", "xend", "xcnt", "heap", "moved_cnt", "out_lst", "out_len", "in_len"):
+                      "xbeg", "xend", "xcnt", "heap", "moved_cnt", "out_lst", "out_len"):
                 assert np.array_equal(getattr(got, f), getattr(want, f)), f
             r = got.regs
             nxs, n12 = r[K.R_NXS], r[K.R_N12]

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from copar import prune
 from copar.automaton import Automaton, ValidationError, parse_automaton
 from copar.examples import example_loop_dfa, example_width_two_dfa
 from copar.generators import gen_random_dfa
@@ -30,6 +31,15 @@ def test_loop_dfa_sup_golden():
     assert p.kept_src.tolist() == [-1, 0, 1]
     assert backward_walk(p, 2, 6) == (1, 0)  # "ba"
     assert p.partition.parts == [[1], [2], [0]]
+
+
+def test_a_state_left_with_no_live_in_edge_is_refused():
+    a = example_loop_dfa()
+    ref = init_refinement(a, prune=True)
+    run_refinement(ref)
+    ref.in_len[2] = 0  # as if every in-edge of state 2 had been deleted
+    with pytest.raises(RuntimeError, match="^pruning removed every in-edge of state 2$"):
+        prune._assemble(a, "inf", ref)
 
 
 def test_serialize_pruned_tags_direction():

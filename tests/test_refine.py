@@ -129,6 +129,31 @@ def test_target_order_witness_is_the_first_edge_reaching_the_largest_target():
     assert _identity_wheeler_check(a) == (False, ("target-order", ((1, 5), (3, 4), 1)))
 
 
+def test_identity_check_matches_the_oracle_on_arbitrary_automata():
+    """Any source and conflicting in-letters too: the quotients that sort
+    checks can only fail target-order. The witnesses of the first two
+    kinds differ in form, so only the last two are compared."""
+    seen = set()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n, sigma = rng.randint(1, 7), rng.randint(1, 3)
+        source = 0 if rng.random() < 0.5 else rng.randrange(n)
+        lam = [rng.randrange(sigma) for _ in range(n)]
+        consistent = rng.random() < 0.5
+        edges = set()
+        for _ in range(rng.randint(0, 2 * n)):
+            v = rng.randrange(n)
+            edges.add((rng.randrange(n), v, lam[v] if consistent else rng.randrange(sigma)))
+        a = Automaton(n, sigma, source, sorted(edges))
+        ok, violation = _identity_wheeler_check(a)
+        want = check_wheeler_order(a, range(n))
+        assert (ok, violation and violation[0]) == (want.ok, want.kind), seed
+        if violation and violation[0] in ("letter-order", "target-order"):
+            assert violation[1] == want.witness, seed
+        seen.add(want.kind)
+    assert seen == {None, "source-not-first", "in-label-conflict", "letter-order", "target-order"}, seen
+
+
 def test_wheeler_inputs_stay_quasi_wheeler():
     for seed in range(40):
         rng = random.Random(seed)
