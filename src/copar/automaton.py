@@ -187,10 +187,17 @@ def sorted_runs(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
-def _dense_rank(key: np.ndarray) -> tuple[np.ndarray, int]:
+def _dense_rank(key: np.ndarray, bound: int | None = None) -> tuple[np.ndarray, int]:
     """Dense rank of each entry of key among its distinct values, and their
     number. A dense rank does not depend on how equal keys are ordered, so
-    numpy's default (unstable) argsort serves."""
+    numpy's default (unstable) argsort serves. Keys known to lie below a
+    bound no larger than key.size are ranked by counting instead, in O(size).
+    """
+    if bound is not None and bound <= key.size:
+        seen = np.zeros(bound, dtype=bool)
+        seen[key] = True
+        dense = np.cumsum(seen) - 1
+        return dense[key], int(dense[-1]) + 1
     order = np.argsort(key)
     k = key[order]
     new = np.ones(k.size, dtype=bool)

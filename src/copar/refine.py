@@ -1,20 +1,27 @@
 """Full refinement runs: coarsest forward-stable partition, Wheeler preorder.
 
 refine_all always runs the partition refinement engine. wheeler_preorder,
-the path of `copar sort`, ranks a tree (a path or a trie: every state but
-the source has one in-edge) by prefix doubling instead, on the
-pure-Python backend when run_refinement is not wrapped (a tracer must see
-the engine run); numba's break-even is unmeasured, so there the engine
-runs. Two states of a tree are backward-bisimilar exactly when they read
-the same string, so the classes of equal reaching strings are the
-coarsest forward-stable partition; their quotient is a deterministic trie,
-so the flag is true, and then the engine's part order is the co-lex one:
-both paths give the same bytes.
+the path of `copar sort`, takes a numpy path instead on the pure-Python
+backend when run_refinement is not wrapped (a tracer must see the engine
+run); numba's break-even is unmeasured, so there the engine runs.
+- A tree (a path or a trie: every state but the source has one in-edge)
+  is ranked by prefix doubling. Two states of a tree are
+  backward-bisimilar exactly when they read the same string, so the
+  classes of equal reaching strings are the coarsest forward-stable
+  partition; their quotient is a deterministic trie, so the flag is true,
+  and then the engine's part order is the co-lex one.
+- Any other input takes ordered Moore rounds (_moore_partition), which
+  hand it to the engine unless they reach the coarsest forward-stable
+  partition in a Wheeler order: the quotient's only one, so the engine's.
+Both paths give the engine's bytes, and the result's rounds and
+max_splitter_count read 0 on them. The engine, the stepping API and
+refine_all (which criterion 7 and `copar check --partition` run) do not
+change.
 
 The engine, copar.partition, loads only when it runs: init_refinement and
 run_refinement are bound here on first use (PEP 562), by the engine path
 or by an attribute lookup such as a tracer's, whose wrappers stay bound.
-So a tree sorted by doubling loads no engine, and run_refinement is
+So a sort that takes a numpy path loads no engine, and run_refinement is
 wrapped exactly when it is bound here to anything but
 partition.run_refinement. copar._kernels loads with this module, since
 HAVE_NUMBA picks the path.
@@ -34,6 +41,7 @@ from copar.automaton import (
     Diagnostic,
     OrderedPartition,
     ValidationError,
+    _dense_rank,
     doubling_ranks,
     quotient,
     sorted_runs,
@@ -46,6 +54,14 @@ if TYPE_CHECKING:
 _ENGINE = dict.fromkeys(("init_refinement", "run_refinement"), "partition")
 __getattr__ = _lazy_getattr(globals(), _ENGINE)
 
+# Moore rounds, the last of which finds no split, before the engine takes
+# over. Each costs O(m + n log n) however little it splits: about 0.05 s at
+# n = 10^6 (m = 3 * 10^6), where the engine's init, run and snapshot take
+# 0.33-0.40 s, so eight rounds cost about what the engine saves. Wheeler
+# NFAs from gen_wheeler_nfa settle in 2 to 4 rounds, 3 at n = 5 * 10^4 and
+# at n = 10^6.
+MAX_MOORE_ROUNDS = 8
+
 
 @dataclass
 class WheelerPreorder:
@@ -54,8 +70,8 @@ class WheelerPreorder:
     The quotient's state order (identity) is the candidate Wheeler order;
     quasi_wheeler reports whether it satisfies the Wheeler axioms, with the
     first violation when it does not. rounds and max_splitter_count are the
-    engine's; both are 0 when prefix doubling sorted a tree and no engine
-    ran.
+    engine's; both are 0 when prefix doubling or Moore rounds sorted the
+    input and no engine ran.
     """
 
     partition: OrderedPartition
@@ -119,15 +135,17 @@ def refine_all(a: Automaton) -> OrderedPartition:
 def wheeler_preorder(a: Automaton) -> WheelerPreorder:
     """Sort an NFA: Wheeler preorder, quotient automaton and quasi-Wheeler flag.
 
-    Trees take _tree_partition where the module docstring says. A clean
-    input has no edge into the source and an in-edge into every other
-    state, so a.m == a.n - 1 is the whole test for a tree.
+    Trees take _tree_partition and other inputs _moore_partition where the
+    module docstring says. A clean input has no edge into the source and an
+    in-edge into every other state, so a.m == a.n - 1 is the whole test for
+    a tree.
     """
     require_clean(a)
-    if a.m == a.n - 1 and not HAVE_NUMBA and not _wrapped(globals(), _ENGINE, "run_refinement"):
-        p = _tree_partition(a)
-        rounds = max_splitter_count = 0
-    else:
+    p = None
+    if not HAVE_NUMBA and not _wrapped(globals(), _ENGINE, "run_refinement"):
+        p = _tree_partition(a) if a.m == a.n - 1 else _moore_partition(a)
+    rounds = max_splitter_count = 0
+    if p is None:
         _bind(globals(), _ENGINE, "partition")
         ref = init_refinement(a, "ascending")
         run_refinement(ref)
@@ -157,9 +175,100 @@ def _tree_partition(a: Automaton) -> OrderedPartition:
     phi = np.empty(a.n, dtype=np.int64)
     phi[a.edst] = a.esrc
     phi[a.source] = a.source
-    rank, _ = doubling_ranks(a.in_labels(), phi)
+    return _by_rank(doubling_ranks(a.in_labels(), phi)[0])
+
+
+def _by_rank(rank: np.ndarray) -> OrderedPartition:
+    """The partition into classes of the dense rank, in rank order."""
     starts = np.concatenate(([0], np.cumsum(np.bincount(rank))))
     return OrderedPartition.from_arrays(np.argsort(rank, kind="stable"), starts)
+
+
+def _moore_partition(a: Automaton) -> OrderedPartition | None:
+    """The coarsest forward-stable partition of the clean non-tree a in its
+    Wheeler order, by ordered Moore rounds; None where the engine must run.
+
+    Round 0 is the engine's initial partition: rank = in-letter + 1, the
+    source alone in rank 0, k = sigma + 1 classes. Each later round
+    dense-ranks (rank, lo, hi), where lo and hi are a state's least and
+    greatest in-neighbour rank, so classes keep their order and split in
+    the order of their in-neighbours; the rounds stop once the class count
+    stays the same. Every split they make, the engine's also makes, so each
+    round is coarser than or equal to the coarsest forward-stable
+    partition, and a forward-stable fixpoint is that partition.
+
+    None (fall back to the engine) when:
+    - after a round, two consecutive new classes of one letter have hi of
+      the earlier above lo of the later: each round's order is refined by
+      the next, so the final order could not be Wheeler;
+    - MAX_MOORE_ROUNDS rounds do not settle;
+    - the fixpoint is not forward-stable (_forward_stable).
+
+    A fixpoint that passes is the engine's output. Its part sets are the
+    engine's, and the last round's check is the target-order axiom on its
+    quotient, so its order is a Wheeler order of that quotient. The engine
+    orders the parts of a quasi-Wheeler input in a Wheeler order too (the
+    paper's result), and the quotient has at most one. Take two Wheeler
+    orders and let R hold the same-letter pairs of classes that they rank
+    differently. The in-neighbours of an R-related pair are themselves
+    R-related or equal, since each order's axioms order them as it orders
+    the pair. So the classes of R's equivalence closure form a stable
+    partition of the quotient, which is coarser than the discrete one
+    unless R is empty; but the quotient of the coarsest forward-stable
+    partition has no stable partition other than the discrete one.
+    """
+    n, src, dst = a.n, a.esrc, a.edst
+    lam = a.in_labels()
+    rank, k = lam + 1, a.sigma + 1
+    for _ in range(MAX_MOORE_ROUNDS):
+        src_rank = rank[src]
+        lo = np.full(n, k, dtype=np.int64)
+        np.minimum.at(lo, dst, src_rank)
+        hi = np.zeros(n, dtype=np.int64)
+        np.maximum.at(hi, dst, src_rank)
+        # (rank, lo, hi) packs below base**3; where that passes int64,
+        # (rank, lo) is ranked first
+        base = k + 1
+        key = rank * base
+        key += lo
+        if base**3 >= 2**63:
+            key, _ = _dense_rank(key)
+        key *= base
+        key += hi
+        new_rank, new_k = _dense_rank(key, base**3)
+        del key
+        rep = np.empty(new_k, dtype=np.int64)
+        rep[new_rank] = np.arange(n)
+        letter = lam[rep]
+        if np.any((letter[1:] == letter[:-1]) & (hi[rep[:-1]] > lo[rep[1:]])):
+            return None
+        if new_k == k:
+            return _by_rank(rank) if _forward_stable(a, rank, k, src_rank) else None
+        rank, k = new_rank, new_k
+    return None
+
+
+def _forward_stable(a: Automaton, rank: np.ndarray, k: int, src_rank: np.ndarray) -> bool:
+    """Whether the partition into classes of rank (0..k-1) is forward-stable:
+    every class P has an in-edge from class B into all of its states or
+    into none. The distinct (source class, target state) pairs number the
+    sum of |P| over the distinct (source class, target class P) pairs
+    exactly then. Each count sorts one packed int64 key in place; the
+    first is built on src_rank, rank[a.esrc], which it overwrites.
+    """
+    key = src_rank
+    key *= a.n
+    key += a.edst
+    key.sort()
+    pairs = 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+    np.take(rank, a.esrc, out=key)
+    key *= k
+    key += rank[a.edst]
+    key.sort()
+    new = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    sizes = np.bincount(rank)
+    return pairs == int(sizes[key[new] % k].sum())
 
 
 def _identity_wheeler_check(a: Automaton) -> tuple[bool, tuple | None]:

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from copar._kernels import HAVE_NUMBA
 from copar.automaton import Automaton, path_dfa, reverse_automaton
 from copar.colex import build_merged_graph, colex_order, suffix_doubling_ranks
 from copar.examples import (
@@ -206,8 +207,16 @@ def test_criterion_8_performance_and_scaling():
     cap = n.bit_length()  # floor(log2 n) + 1 for non-powers of two
     if not (elapsed <= 60.0 and peak_gb <= 4.0):
         _report(8, False, f"n=10^6 run took {elapsed:.1f} s, peak {peak_gb:.2f} GB")
-    if res.max_splitter_count > cap:
-        _report(8, False, f"splitter counter {res.max_splitter_count} exceeds {cap}")
+    # on the pure-Python backend wheeler_preorder sorts this input by Moore
+    # rounds, which report no engine counters; the engine's splitter bound is
+    # checked on an explicit run, which must give the same partition
+    assert HAVE_NUMBA or res.rounds == res.max_splitter_count == 0
+    asc = init_refinement(big, "ascending")
+    run_refinement(asc)
+    if asc.max_splitter_count > cap:
+        _report(8, False, f"splitter counter {asc.max_splitter_count} exceeds {cap}")
+    assert asc.snapshot_partition() == res.partition
+    del asc
     # the letter-order check of tests/test_refine.py at this size: the input
     # is Wheeler, so the descending run gives exactly the reversed order
     desc = init_refinement(big, "descending")

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from copar import _kernels as K
-from copar import automaton, cli, colex, oracle, refine
+from copar import automaton, cli, colex, oracle, partition, refine
 from copar.automaton import parse_automaton, serialize_automaton, serialize_order
-from copar.examples import example_loop_dfa, example_unordered_nfa
+from copar.examples import example_loop_dfa, example_quasi_wheeler_nfa, example_unordered_nfa
 from copar.generators import gen_random_dfa
 
 LOOP = "NFA 3 3 0 2\n0 1 1\n1 2 0\n2 2 0\n"
@@ -344,17 +344,19 @@ def test_cli_run_does_not_import_numpy_ma(loop_path, command):
 
 def test_numpy_round_does_not_import_numpy_ma(tmp_path):
     # the source of this Wheeler NFA is a one-state splitter with more
-    # out-edges than partition.NUMPY_ROUND_BLOCK
+    # out-edges than partition.NUMPY_ROUND_BLOCK; a wrapper on
+    # refine.run_refinement, as a tracer sets, sorts it on the engine
     from copar.generators import gen_wheeler_nfa
 
     path = tmp_path / "wheeler.nfa"
     path.write_text(serialize_automaton(gen_wheeler_nfa(3000, 3 * 2999, 3, 1)))
     code = (
         "import sys\n"
-        "from copar import cli, partition\n"
+        "from copar import cli, partition, refine\n"
         "rounds = []\n"
-        "one_round = partition._numpy_round\n"
+        "one_round, run = partition._numpy_round, partition.run_refinement\n"
         "partition._numpy_round = lambda ref: (rounds.append(1), one_round(ref))\n"
+        "refine.run_refinement = lambda ref: run(ref)\n"
         f"assert cli.main(['sort', {str(path)!r}]) == 0\n"
         "print(len(rounds), 'numpy.ma' in sys.modules)\n"
     )
@@ -391,11 +393,13 @@ def _child_output(code: str) -> str:
 
 @pytest.fixture
 def inputs(tmp_path, loop_path):
-    """A path DFA, an NFA that is no tree, the loop DFA and the sort of
-    that DFA, as files."""
-    files = {"path": tmp_path / "path.nfa", "nfa": tmp_path / "nfa.nfa", "loop": Path(loop_path)}
+    """A path DFA, an NFA that admits no Wheeler order, a quasi-Wheeler NFA
+    that is no tree, the loop DFA and the sort of that DFA, as files."""
+    files = {name: tmp_path / f"{name}.nfa" for name in ("path", "nfa", "quasi")}
+    files["loop"] = Path(loop_path)
     files["path"].write_text(serialize_automaton(automaton.path_dfa([0, 1, 0, 0, 1, 0, 1, 0, 0, 1])))
     files["nfa"].write_text(serialize_automaton(example_unordered_nfa()))
+    files["quasi"].write_text(serialize_automaton(example_quasi_wheeler_nfa()))
     files["sorted"] = tmp_path / "loop.ordpart"
     assert cli.main(["sort", loop_path, "-o", str(files["sorted"])]) == 0
     return {name: str(path) for name, path in files.items()}
@@ -410,11 +414,13 @@ def inputs(tmp_path, loop_path):
         (["colex", "loop"], "import copar.colex\ncopar.colex.HAVE_NUMBA = False", ["copar.colex"]),
         (["prune", "loop", "--mode", "sup"], "", ["copar.partition", "copar.prune"]),
         (["check", "loop", "--partition", "sorted"], "", ["copar.partition"]),
+        (["sort", "quasi"], "refine.HAVE_NUMBA = False", []),
     ],
 )
 def test_cli_run_loads_only_the_modules_its_path_runs(inputs, tmp_path, argv, setup, loaded):
-    """A tree sorted by prefix doubling loads no engine, and policy
-    iteration no pruning; each backend is set where the gate reads it."""
+    """A tree sorted by prefix doubling and a quasi-Wheeler NFA sorted by
+    Moore rounds load no engine, and policy iteration no pruning; each
+    backend is set where the gate reads it."""
     argv = [inputs.get(arg, arg) for arg in argv]
     if argv[0] != "check":
         argv += ["-o", str(tmp_path / "out.txt")]
@@ -508,6 +514,8 @@ def test_exit_code_1_on_engine_status_error(argv, loop_path, capsys, monkeypatch
 
     monkeypatch.setattr(K, "run_full", breach)
     monkeypatch.setattr(colex, "MAX_POLICY_ITERATIONS", 0)  # colex runs the engine prunings
+    run = partition.run_refinement
+    monkeypatch.setattr(refine, "run_refinement", lambda ref: run(ref))  # and sort the engine
     assert cli.main([argv[0], loop_path, *argv[1:]]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -547,9 +555,12 @@ def test_colex_runs_with_no_stdout(big_colex, tmp_path, monkeypatch):
     assert dst.read_text() == colex.serialize_colex(colex.colex_order(a))
 
 
-def test_exit_code_1_on_kernel_compile_error(loop_path, capsys, monkeypatch):
+def test_exit_code_1_on_kernel_compile_error(tmp_path, capsys, monkeypatch):
     # numba compiles a kernel on its first call and reports a typing failure
-    # over many lines
+    # over many lines; an NFA that admits no Wheeler order runs the engine
+    nfa = tmp_path / "unordered.nfa"
+    nfa.write_text(serialize_automaton(example_unordered_nfa()))
+
     def typing_failure(*args):
         raise K.KernelCompileError(
             "Failed in nopython mode pipeline (step: nopython frontend)\n"
@@ -557,7 +568,7 @@ def test_exit_code_1_on_kernel_compile_error(loop_path, capsys, monkeypatch):
         )
 
     monkeypatch.setattr(K, "run_full", typing_failure)
-    assert cli.main(["sort", loop_path]) == 1
+    assert cli.main(["sort", str(nfa)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: kernel compilation failed: Failed in nopython mode pipeline")
     assert err.count("\n") == 1 and "Untyped global name" in err

@@ -10,6 +10,7 @@ import pytest
 
 from copar import partition, refine
 from copar.automaton import Automaton, ValidationError, path_dfa, serialize_ordered_partition
+from copar.examples import example_unordered_nfa
 from copar.oracle import naive_prefix_sort
 
 
@@ -142,8 +143,9 @@ def test_one_state(monkeypatch, engine_runs):
 
 def test_engine_runs_where_the_gate_says_so(monkeypatch, engine_runs):
     """Under a wrapper on refine.run_refinement alone (perfbench's tracer
-    puts one there), with numba kernels, and on every input that is not a
-    tree."""
+    puts one there), with numba kernels, and on an input that is no tree
+    and admits no Wheeler order. A quasi-Wheeler input that is no tree
+    takes Moore rounds, as tests/test_moore_sort.py checks."""
     tree = path_dfa([0, 1, 1, 0, 1])
     refine.wheeler_preorder(tree)
     assert engine_runs == []
@@ -156,8 +158,10 @@ def test_engine_runs_where_the_gate_says_so(monkeypatch, engine_runs):
     assert engine_runs == [6] and res.rounds > 0
     engine_runs.clear()
     extra = Automaton(6, 2, 0, list(tree.edges()) + [(0, 2, 1)])  # state 2 gets a second in-edge
-    want = refine.wheeler_preorder(extra)
-    assert engine_runs == [6] and want.rounds > 0
+    assert refine.wheeler_preorder(extra).quasi_wheeler
+    assert engine_runs == []
+    want = refine.wheeler_preorder(example_unordered_nfa())
+    assert engine_runs == [4] and want.rounds > 0 and not want.quasi_wheeler
 
 
 def test_an_edge_into_the_source_is_refused_before_either_path(engine_runs):
