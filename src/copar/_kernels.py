@@ -1,16 +1,14 @@
 """Compiled ordered partition refinement: one kernel runs every round.
 
-run_full(regs, st, prune, max_rounds, big_load) selects a splitter,
-splits against it and loops, over flat int64 arrays plus a small register
-file (regs). Both callers drive it: partition.run_refinement runs it to the
-fixpoint, and Refinement.step runs one round per call.
+run_full(regs, st, prune, max_rounds) selects a splitter, splits against
+it and loops, over flat int64 arrays plus a small register file (regs).
+Both callers drive it: partition.run_refinement runs it to the fixpoint,
+and Refinement.step runs one round per call.
 With numba installed the functions are njit-compiled (cached); without it
 the same code runs as plain Python over zero-copy memoryviews of the engine
 arrays (kernel_view), whose items read and write as plain ints, so
-behaviour is byte-for-byte equivalent. On that backend run_full can hand a
-plain refinement's splitter with many out-edges back to
-partition.run_refinement, which splits against it in numpy; compiled, and
-in every pruning refinement, every round stays here.
+behaviour is byte-for-byte equivalent. Every round of either backend runs
+here.
 
 The engine arrays travel as one Engine namedtuple. run_full unpacks it
 once per call and keeps the registers a round updates in locals, writing
@@ -25,9 +23,7 @@ which serves partition.py) stay calls.
 
 Register layout (indices into regs), every register read or written here:
   counters:  NPARTS, HSIZE, NREC, FREETOP, ROUNDS
-  per-round: NXS, N12 (reached states, D_12; D_11 holds NXS - N12); SPART,
-             BPART, BFIRST (the splitter's X-part, -1 when none is pending,
-             B, and whether B was first)
+  per-round: NXS, N12 (reached states, D_12; D_11 holds NXS - N12)
   fixed:     STATUS (0 ok, nonzero = internal error)
 The rest is derived: HSIZE counts the compound X-parts, round r + 1 takes
 generation r + 1 and makes X-part r + 1 (X-part 0 covers everything), and
@@ -77,7 +73,7 @@ Engine = namedtuple(
     " xs d12 d11 xrec moved_cnt",
 )
 
-NREGS = 11
+NREGS = 8
 (
     R_NPARTS,
     R_HSIZE,
@@ -86,9 +82,6 @@ NREGS = 11
     R_ROUNDS,
     R_NXS,
     R_N12,
-    R_SPART,
-    R_BPART,
-    R_BFIRST,
     R_STATUS,
 ) = range(NREGS)
 
@@ -185,7 +178,7 @@ def _prune_d11(st, bfirst, b, s, ftop, n11):
 
 
 @njit(cache=True)
-def run_full(regs, st, prune, max_rounds, big_load):
+def run_full(regs, st, prune, max_rounds):
     """Select and split until no compound X-part remains or ROUNDS reaches
     max_rounds.
 
@@ -197,14 +190,7 @@ def run_full(regs, st, prune, max_rounds, big_load):
     result is not quasi-Wheeler the part order does. The root
     is updated in place: popped when the remainder of S is simple, its key
     sifted down when B was first (S's begin moved), and left as it is when
-    B was last. With big_load > 0 a splitter whose
-    load (|B| plus the out-degrees of its states, summed only until it
-    reaches big_load) reaches big_load is handed back pending: run_full
-    returns with SPART >= 0 and the caller splits against it
-    (partition.run_refinement passes NUMPY_ROUND_BLOCK for a plain
-    refinement on the pure-Python backend, else 0).
-    A pending splitter is split first on the next call; SPART is -1 when
-    none is pending.
+    B was last.
 
     The split is one pass over B's out-edges. Each edge e -> x leaves its
     record of (x, S), which is decremented and freed at zero, and joins the
@@ -246,65 +232,53 @@ def run_full(regs, st, prune, max_rounds, big_load):
     pcap, rcap = pbeg.shape[0], cnt_val.shape[0]
     ftop, nrec, hsize, nparts = regs[R_FREETOP], regs[R_NREC], regs[R_HSIZE], regs[R_NPARTS]
     rounds, status = regs[R_ROUNDS], regs[R_STATUS]
-    s, b, bfirst = regs[R_SPART], regs[R_BPART], regs[R_BFIRST]
     nxs, n12 = regs[R_NXS], regs[R_N12]
-    while status == STATUS_OK and rounds < max_rounds:
-        if s < 0:
-            if hsize == 0:
-                break
-            s = heap[0] % xcap
-            slo = xbeg[s]
-            shi = xend[s]
-            b = partof[elems[slo]]
-            p = partof[elems[shi - 1]]
-            bfirst = 1
-            if pend[p] - pbeg[p] < pend[b] - pbeg[b]:
-                b = p
-                bfirst = 0
-            if 2 * (pend[b] - pbeg[b]) > shi - slo:
-                status = STATUS_SPLITTER_SIZE
-                break
-            nx = rounds + 1
-            if nx >= xcap:
-                status = STATUS_XPART_CAP
-                break
-            xbeg[nx] = pbeg[b]
-            xend[nx] = pend[b]
-            xcnt[nx] = 1
-            xof[b] = nx
-            xcnt[s] -= 1
-            # S is the heap root: pop it once simple, sift its new key down
-            # when B was first, else its key stands
-            key = -1
-            if xcnt[s] < 2:
-                hsize -= 1
-                key = heap[hsize]
-            elif bfirst == 1:
-                key = pend[b] * xcap + s
-            if bfirst == 1:
-                xbeg[s] = pend[b]
-            else:
-                xend[s] = pbeg[b]
-            if key >= 0:
-                i = 0
-                c = 1
-                while c < hsize:
-                    if c + 1 < hsize and heap[c + 1] < heap[c]:
-                        c += 1
-                    if key <= heap[c]:
-                        break
-                    heap[i] = heap[c]
-                    i = c
-                    c = 2 * i + 1
-                heap[i] = key
-            if big_load > 0:
-                load = pend[b] - pbeg[b]
-                i = pbeg[b]
-                while load < big_load and i < pend[b]:
-                    load += out_len[elems[i]]
-                    i += 1
-                if load >= big_load:
+    while status == STATUS_OK and rounds < max_rounds and hsize > 0:
+        s = heap[0] % xcap
+        slo = xbeg[s]
+        shi = xend[s]
+        b = partof[elems[slo]]
+        p = partof[elems[shi - 1]]
+        bfirst = 1
+        if pend[p] - pbeg[p] < pend[b] - pbeg[b]:
+            b = p
+            bfirst = 0
+        if 2 * (pend[b] - pbeg[b]) > shi - slo:
+            status = STATUS_SPLITTER_SIZE
+            break
+        nx = rounds + 1
+        if nx >= xcap:
+            status = STATUS_XPART_CAP
+            break
+        xbeg[nx] = pbeg[b]
+        xend[nx] = pend[b]
+        xcnt[nx] = 1
+        xof[b] = nx
+        xcnt[s] -= 1
+        # S is the heap root: pop it once simple, sift its new key down
+        # when B was first, else its key stands
+        key = -1
+        if xcnt[s] < 2:
+            hsize -= 1
+            key = heap[hsize]
+        elif bfirst == 1:
+            key = pend[b] * xcap + s
+        if bfirst == 1:
+            xbeg[s] = pend[b]
+        else:
+            xend[s] = pbeg[b]
+        if key >= 0:
+            i = 0
+            c = 1
+            while c < hsize:
+                if c + 1 < hsize and heap[c + 1] < heap[c]:
+                    c += 1
+                if key <= heap[c]:
                     break
+                heap[i] = heap[c]
+                i = c
+                c = 2 * i + 1
+            heap[i] = key
         gen = rounds + 1
         nxs = 0
         for i in range(pbeg[b], pend[b]):
@@ -434,8 +408,6 @@ def run_full(regs, st, prune, max_rounds, big_load):
                     _sift_up(heap, hsize, xbeg[xp] * xcap + xp)
                     hsize += 1
         rounds += 1
-        s = -1
     regs[R_FREETOP], regs[R_NREC], regs[R_HSIZE], regs[R_NPARTS] = ftop, nrec, hsize, nparts
     regs[R_ROUNDS], regs[R_STATUS] = rounds, status
-    regs[R_SPART], regs[R_BPART], regs[R_BFIRST] = s, b, bfirst
     regs[R_NXS], regs[R_N12] = nxs, n12

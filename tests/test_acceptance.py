@@ -225,9 +225,10 @@ def test_criterion_8_performance_and_scaling():
     del desc
     assert res.quasi_wheeler and (flipped == res.partition.k - 1 - res.partition.as_class_array()).all()
     # from one doubling above 5**6: at 5**6 a sort took 6-17 ms on a shared
-    # 2-vCPU host, where one scheduling stall could lift a ratio past 3.0.
-    # A stall only adds time, so each size keeps its smallest median of
-    # three sweeps.
+    # 2-vCPU host while numpy rounds split its large splitters, where one
+    # scheduling stall could lift a ratio past 3.0. With kernel rounds only
+    # the smallest size, 2 * 5**6, takes about 40 ms. A stall only adds
+    # time, so each size keeps its smallest median of three sweeps.
     sizes = [5**6 * 2**i for i in range(1, 6)]
     sweeps = [bench_scaling(sizes, trials=5, ops=("sort",), seed=1729) for _ in range(3)]
     best = [min(r.median_ms for r in same) for same in zip(*sweeps)]

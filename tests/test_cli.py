@@ -342,32 +342,6 @@ def test_cli_run_does_not_import_numpy_ma(loop_path, command):
     assert run.stdout.endswith("False\n")
 
 
-def test_numpy_round_does_not_import_numpy_ma(tmp_path):
-    # the source of this Wheeler NFA is a one-state splitter with more
-    # out-edges than partition.NUMPY_ROUND_BLOCK; a wrapper on
-    # refine.run_refinement, as a tracer sets, sorts it on the engine
-    from copar.generators import gen_wheeler_nfa
-
-    path = tmp_path / "wheeler.nfa"
-    path.write_text(serialize_automaton(gen_wheeler_nfa(3000, 3 * 2999, 3, 1)))
-    code = (
-        "import sys\n"
-        "from copar import cli, partition, refine\n"
-        "rounds = []\n"
-        "one_round, run = partition._numpy_round, partition.run_refinement\n"
-        "partition._numpy_round = lambda ref: (rounds.append(1), one_round(ref))\n"
-        "refine.run_refinement = lambda ref: run(ref)\n"
-        f"assert cli.main(['sort', {str(path)!r}]) == 0\n"
-        "print(len(rounds), 'numpy.ma' in sys.modules)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    rounds, loaded = run.stdout.split()[-2:]
-    assert int(rounds) > 0 or K.HAVE_NUMBA
-    assert loaded == "False"
-
-
 @pytest.mark.parametrize("argv", [["sort"], ["prune", "--mode", "inf"], ["colex"]])
 def test_cli_run_does_not_import_oracle_bench_or_generators(loop_path, argv):
     code = (

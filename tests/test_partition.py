@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copar import _kernels as K
-from copar import partition, prune
+from copar import prune
 from copar.automaton import Automaton, OrderedPartition, path_dfa
 from copar.examples import example_loop_dfa, example_quasi_wheeler_nfa
 from copar.generators import gen_random_dfa, gen_random_nfa, gen_wheeler_nfa
@@ -41,18 +41,28 @@ def test_init_rejects_in_label_conflicts():
 
 
 def _select(ref: Refinement) -> tuple[tuple[int, ...], bool, tuple[int, int]] | None:
-    """Select the next splitter and leave it pending, as run_full hands a
-    large one back: B's states, whether B was first and the span of its
-    X-part S before the carve; None once the refinement is done."""
-    K.run_full(ref._kregs, ref._st, int(ref.prune), ref.rounds + 1, 1)
-    ref._raise_status()
-    s, b, first = (int(v) for v in ref.regs[[K.R_SPART, K.R_BPART, K.R_BFIRST]])
-    if s < 0:
+    """The splitter the next step takes, predicted without changing the
+    engine: S is the X-part at the heap root and B the smaller of its end
+    parts, ties to the first. Returns B's states, whether B was first and
+    S's span; None once the refinement is done."""
+    if ref.done:
         return None
-    # the carve moved S's begin past B when B was first, else its end
-    span = (ref.pbeg[b], ref.xend[s]) if first else (ref.xbeg[s], ref.pend[b])
+    s = int(ref.heap[0]) % ref.xbeg.shape[0]
+    lo, hi = int(ref.xbeg[s]), int(ref.xend[s])
+    b, last = int(ref.partof[ref.elems[lo]]), int(ref.partof[ref.elems[hi - 1]])
+    first = ref.pend[b] - ref.pbeg[b] <= ref.pend[last] - ref.pbeg[last]
+    if not first:
+        b = last
     members = tuple(int(v) for v in ref.elems[ref.pbeg[b] : ref.pend[b]])
-    return members, bool(first), (int(span[0]), int(span[1]))
+    return members, bool(first), (lo, hi)
+
+
+def _split_against(ref: Refinement, choice: tuple[tuple[int, ...], bool, tuple[int, int]]) -> None:
+    """After a step, check that it split against the predicted splitter:
+    the X-part the round made, id ROUNDS, spans exactly B's states."""
+    x = ref.rounds
+    spanned = ref.elems[ref.xbeg[x] : ref.xend[x]]
+    assert sorted(int(v) for v in spanned) == sorted(choice[0])
 
 
 def _step_delta(ref: Refinement) -> tuple[dict[int, tuple[int, ...]], list[tuple[int, int, int]]] | None:
@@ -81,14 +91,20 @@ def test_stepwise_trace_quasi_fixture():
     assert ref.snapshot_partition().parts == [[0], [1, 2], [3, 4]]
     assert not ref.done
 
-    assert _select(ref) == ((0,), True, (0, 5))
+    choice = _select(ref)
+    assert choice == ((0,), True, (0, 5))
     assert _step_delta(ref) == ({3: (3,)}, [])
+    _split_against(ref, choice)
 
-    assert _select(ref)[:2] == ((4,), False)
+    choice = _select(ref)
+    assert choice[:2] == ((4,), False)
     assert _step_delta(ref) == ({}, [])
+    _split_against(ref, choice)
 
-    assert _select(ref)[:2] == ((3,), False)
+    choice = _select(ref)
+    assert choice[:2] == ((3,), False)
     assert ref.step()
+    _split_against(ref, choice)
 
     assert ref.done
     assert _select(ref) is None
@@ -109,44 +125,6 @@ def test_step_when_done_changes_nothing(mode):
     assert np.array_equal(ref.regs, regs)
     for f, want in arrays.items():
         assert np.array_equal(getattr(ref, f), want), f
-
-
-@pytest.mark.parametrize("mode", sorted(PRUNE))
-def test_step_finishes_a_pending_round(mode):
-    """step() after _select splits the pending splitter, counting one
-    round, and leaves what a plain step() leaves; run_refinement also splits
-    it first."""
-    a = gen_random_dfa(30, 3, 2)
-    for k in range(3):
-        plain = init_refinement(a, prune=PRUNE[mode])
-        pending = init_refinement(a, prune=PRUNE[mode])
-        for _ in range(k):
-            plain.step()
-            pending.step()
-        assert _select(pending) is not None and pending.rounds == k
-        assert plain.step() and pending.step()
-        assert pending.rounds == k + 1 and pending.regs[K.R_SPART] == -1
-        assert np.array_equal(pending.regs, plain.regs)
-        for f in K.Engine._fields:
-            assert np.array_equal(getattr(pending, f), getattr(plain, f)), f
-        _select(pending)
-        run_refinement(pending)
-        run_refinement(plain)
-        assert pending.snapshot_partition() == plain.snapshot_partition()
-        assert pending.rounds == plain.rounds
-
-
-def test_done_waits_for_a_pending_splitter():
-    """A run_full call that hands its splitter back leaves a round to run:
-    done stays False until a step splits it."""
-    ref = init_refinement(example_quasi_wheeler_nfa())
-    ref.step()
-    ref.step()
-    K.run_full(ref._kregs, ref._st, 0, ref.rounds + 1, 1)
-    assert ref.regs[K.R_SPART] >= 0 and ref.regs[K.R_HSIZE] == 0
-    assert not ref.done
-    assert ref.step() and ref.rounds == 3
-    assert ref.done and not ref.step()
 
 
 @pytest.mark.parametrize(
@@ -202,8 +180,10 @@ def test_a_state_left_alone_is_skipped_when_reached_again():
     assert ref.seen_gen[1] == ref.seen_gen[3] == K.ALONE
     (e,) = ref.surviving_in_edges(3)
     record = (int(ref.cnt_ref[e]), int(ref.cnt_val[ref.cnt_ref[e]]))
-    assert _select(ref)[0] == (1,)
+    choice = _select(ref)
+    assert choice[0] == (1,)
     ref.step()
+    _split_against(ref, choice)
     assert (int(ref.cnt_ref[e]), int(ref.cnt_val[ref.cnt_ref[e]])) == record
     assert ref.regs[K.R_NXS] == 0
     ref.check_invariants()
@@ -232,8 +212,8 @@ def test_invariant_scan_sees_a_bad_marker_or_heap():
 
 
 def test_invariant_scan_sees_a_bad_xpart_id():
-    """The X-part ids in use are 0..ROUNDS, and ROUNDS + 1 while a splitter
-    is pending; a part moved to the next id breaks that."""
+    """The X-part ids in use are 0..ROUNDS; a part moved to the next id
+    breaks that."""
     ref = init_refinement(gen_random_nfa(12, 2, 1))
     ref.step()
     ref.step()
@@ -252,33 +232,17 @@ def _swap_states(ref: Refinement, u: int, v: int) -> None:
     ref.partof[[u, v]] = ref.partof[[v, u]]
 
 
-def test_invariant_scan_takes_a_pending_splitter_with_its_remainder():
-    """A pending splitter B is carved out of its X-part S, but nothing is
-    split against it yet: the parts are stable against S and B together,
-    not against each alone. The scan used to raise "part 1 is unstable
-    against X-part 0" on the first case, and it still sees a part that S
-    and B together split."""
-    ref = init_refinement(gen_random_nfa(12, 2, 1))
-    ref.step()
-    assert _select(ref) is not None
-    ref.check_invariants()
-    for seed in range(6):
-        for prune_mode in (False, True):
-            ref = init_refinement(gen_random_dfa(15, 2, seed), prune=prune_mode)
-            while _select(ref) is not None:
-                ref.check_invariants()
-                ref.step()
+def test_invariant_scan_sees_an_unstable_part():
+    """2 and 6 share an X-part but not a part, and X-part 2 reaches 2 and
+    not 6: swapping them puts 2 into part 2 beside 8, which it does not
+    reach."""
     ref = init_refinement(gen_random_nfa(12, 2, 0))
     ref.step()
     ref.step()
-    assert _select(ref) is not None
     ref.check_invariants()
-    s = int(ref.regs[K.R_SPART])
-    # 7 and 8 share an X-part but not a part, and only S and B together
-    # reach one of them and not the other
-    assert ref.partof[7] != ref.partof[8] and ref.xof[ref.partof[7]] == ref.xof[ref.partof[8]]
-    _swap_states(ref, 7, 8)
-    with pytest.raises(AssertionError, match=f"unstable against X-part {s}$"):
+    assert ref.partof[2] != ref.partof[6] and ref.xof[ref.partof[2]] == ref.xof[ref.partof[6]]
+    _swap_states(ref, 2, 6)
+    with pytest.raises(AssertionError, match="part 2 is unstable against X-part 2$"):
         ref.check_invariants()
 
 
@@ -290,6 +254,7 @@ def test_splitter_members_never_exceed_half_of_span():
             members, _, (lo, hi) = choice
             assert 2 * len(members) <= hi - lo
             ref.step()
+            _split_against(ref, choice)
 
 
 def test_run_is_deterministic():
@@ -394,7 +359,7 @@ def test_kernel_views_match_numpy_arrays(seed, kind, mode, order):
     run_refinement(ref)
     base = init_refinement(a, order, prune=PRUNE[mode])
     raw = K.Engine(*(np.asarray(v) for v in base._st))
-    K.run_full(base.regs, raw, int(base.prune), base.n + 1, 0)
+    K.run_full(base.regs, raw, int(base.prune), base.n + 1)
     base._raise_status()
     assert ref.rounds > 0
     assert np.array_equal(ref.regs, base.regs)
@@ -473,20 +438,17 @@ FAMILIES = ["nfa", "dfa", "wheeler", "sturmian"]
 @pytest.mark.parametrize("mode", sorted(PRUNE))
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_stepping_matches_one_run_full_call(kind, mode, order):
-    """After each step of a stepped run, every other one after _select,
-    regs and every Engine array equal what one run_full call stopping at
-    that many rounds leaves, the last step that finds nothing included:
-    every register run_full holds in a local is written back, and a
-    pending splitter resumes where it stopped."""
+    """After each step of a stepped run, regs and every Engine array equal
+    what one run_full call stopping at that many rounds leaves, the last
+    step that finds nothing included: every register run_full holds in a
+    local is written back."""
     for seed in range(4):
         a = _family(kind, random.Random(seed).randint(5, 40), seed)
         stepped = init_refinement(a, order, prune=PRUNE[mode])
         for k in range(1, a.n + 2):
-            if k % 2:
-                _select(stepped)
             more = stepped.step()
             one = init_refinement(a, order, prune=PRUNE[mode])
-            K.run_full(one._kregs, one._st, int(one.prune), k, 0)
+            K.run_full(one._kregs, one._st, int(one.prune), k)
             assert np.array_equal(stepped.regs, one.regs), k
             for f in K.Engine._fields:
                 assert np.array_equal(getattr(stepped, f), getattr(one, f)), (k, f)
@@ -499,52 +461,15 @@ def test_stepping_matches_one_run_full_call(kind, mode, order):
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
-@pytest.mark.parametrize("kind", FAMILIES)
-def test_numpy_rounds_match_the_kernel(kind, order, monkeypatch):
-    """With the constant at 1 every round is a numpy round of one-edge
-    blocks; at 2 or 3, rounds of smaller loads stay in the kernel and the
-    others span several blocks. Partitions, rounds and splitter counts
-    equal a kernel-only run, and the engine invariants hold after every
-    numpy round up to n = 200."""
-    numpy_rounds = []
-    one_round = partition._numpy_round
-
-    def checked_round(ref: Refinement) -> None:
-        one_round(ref)
-        numpy_rounds.append(ref.n)
-        if ref.n <= 200:
-            ref.check_invariants()
-
-    monkeypatch.setattr(partition, "_numpy_round", checked_round)
-    sizes = [(0, 5, 1), (1, 12, 1), (2, 30, 1), (3, 60, 1), (6, 40, 2), (4, 500, 1), (5, 2000, 3)]
-    for seed, n, blk in sizes:
-        a = _family(kind, n, seed)
-        kernel = init_refinement(a, order)
-        _step_to_end(kernel)
-        monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", blk)
-        numpy_rounds.clear()
-        ref = init_refinement(a, order)
-        run_refinement(ref)
-        assert 0 < len(numpy_rounds) <= ref.rounds
-        assert blk > 1 or len(numpy_rounds) == ref.rounds
-        assert ref.snapshot_partition() == kernel.snapshot_partition()
-        assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
-
-
-@pytest.mark.parametrize("order", ["ascending", "descending"])
-def test_pruning_run_matches_the_stepped_kernel_at_full_size(order, monkeypatch):
+def test_pruning_run_matches_the_stepped_kernel_at_full_size(order):
     """On the shape of the dfa-colex input, run_refinement and a stepped
     run of the same pruning refinement leave the same partition, rounds,
-    splitter counts, deleted edges and kept in-edges, and no numpy round
-    runs."""
-    numpy_rounds = []
-    monkeypatch.setattr(partition, "_numpy_round", numpy_rounds.append)
+    splitter counts, deleted edges and kept in-edges."""
     a = gen_random_dfa(8_000, 4, 7, m=16_000)
     kernel = init_refinement(a, order, prune=True)
     _step_to_end(kernel)
     ref = init_refinement(a, order, prune=True)
     run_refinement(ref)
-    assert numpy_rounds == []
     assert ref.snapshot_partition() == kernel.snapshot_partition()
     assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
     assert ref.deleted_edge_ids() == kernel.deleted_edge_ids()
@@ -553,80 +478,9 @@ def test_pruning_run_matches_the_stepped_kernel_at_full_size(order, monkeypatch)
     assert np.array_equal(*kept)
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending"])
-def test_pruning_run_takes_no_numpy_round_at_block_one(order, monkeypatch):
-    """On the pure-Python backend with the constant at 1, where a plain run
-    takes a numpy round for every splitter, pruning runs of small DFAs take
-    none and equal a stepped kernel run, deleted edges included."""
-    numpy_rounds = []
-    monkeypatch.setattr(partition, "_numpy_round", numpy_rounds.append)
-    monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", 1)
-    monkeypatch.setattr(K, "HAVE_NUMBA", False)
-    for seed, n in [(0, 5), (1, 12), (2, 30), (3, 60), (6, 40), (4, 500), (5, 2000)]:
-        a = _family("dfa", n, seed)
-        kernel = init_refinement(a, order, prune=True)
-        _step_to_end(kernel)
-        ref = init_refinement(a, order, prune=True)
-        run_refinement(ref)
-        assert numpy_rounds == []
-        assert ref.snapshot_partition() == kernel.snapshot_partition()
-        assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
-        assert ref.deleted_edge_ids() == kernel.deleted_edge_ids()
-
-
-def _state_after(a: Automaton, order: str, rounds: int) -> Refinement:
-    """The engine after that many kernel rounds, with the next splitter pending."""
-    ref = init_refinement(a, order)
-    for _ in range(rounds):
-        ref.step()
-    _select(ref)
-    return ref
-
-
-@pytest.mark.parametrize("blk", [1, 2, 1024])
-@pytest.mark.parametrize("kind", FAMILIES)
-def test_numpy_round_leaves_the_kernel_state(kind, blk, monkeypatch):
-    """From the same state, one numpy round and one kernel round leave the
-    same engine, up to record ids and the order inside each part."""
-    monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", blk)
-    for seed in range(4):
-        a = _family(kind, random.Random(seed).randint(5, 40), seed)
-        order = ["ascending", "descending"][seed % 2]
-        total = init_refinement(a, order)
-        _step_to_end(total)
-        for k in range(total.rounds):
-            want, got = _state_after(a, order, k), _state_after(a, order, k)
-            want.step()
-            partition._numpy_round(got)
-            assert np.array_equal(got.regs, want.regs)
-            for f in ("splitcnt", "seen_gen", "partof", "pbeg", "pend", "xof",
-                      "xbeg", "xend", "xcnt", "heap", "moved_cnt", "out_lst", "out_len"):
-                assert np.array_equal(getattr(got, f), getattr(want, f)), f
-            r = got.regs
-            nxs, n12 = r[K.R_NXS], r[K.R_N12]
-            for f, size in (("xs", nxs), ("d12", n12), ("d11", nxs - n12)):
-                assert np.array_equal(getattr(got, f)[:size], getattr(want, f)[:size]), f
-            assert _parts_by_id(got) == _parts_by_id(want)
-            assert np.array_equal(got.pos[got.elems], np.arange(got.n))
-            # the same grouping of edges into records, with the same counts
-            gref, wref = got.cnt_ref, want.cnt_ref
-            assert np.array_equal(got.cnt_val[gref], want.cnt_val[wref])
-            pairs = set(zip(gref.tolist(), wref.tolist()))
-            assert len(pairs) == len({p for p, _ in pairs}) == len({q for _, q in pairs})
-            xs = got.xs[: r[K.R_NXS]]
-            assert np.array_equal(got.cnt_val[got.xrec[xs]], want.cnt_val[want.xrec[xs]])
-            # free records are distinct, unused and count 0, as are those past NREC
-            free = got.free_stk[: r[K.R_FREETOP]]
-            assert np.unique(free).size == free.size and not got.cnt_val[free].any()
-            assert not set(free.tolist()) & set(gref.tolist())
-            assert (free < r[K.R_NREC]).all() and not got.cnt_val[r[K.R_NREC] :].any()
-
-
-@pytest.mark.parametrize("threshold", [1, 10**9])
-def test_record_capacity_breach_in_either_round(threshold, monkeypatch):
+def test_record_capacity_breach_stops_the_run():
     """Shrink the count records to the initial ones: the first round that
-    needs a fresh record stops with STATUS_RECORD_CAP, in numpy or not."""
-    monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", threshold)
+    needs a fresh record stops with STATUS_RECORD_CAP."""
     ref = init_refinement(gen_random_nfa(40, 2, 3, m=100))
     ref.cnt_val = ref.cnt_val[: ref.n].copy()
     ref._st = ref._st._replace(cnt_val=K.kernel_view(ref.cnt_val))
@@ -636,26 +490,24 @@ def test_record_capacity_breach_in_either_round(threshold, monkeypatch):
 
 
 @pytest.mark.parametrize("numba,mode", [(True, "off"), (True, "keep-first"), (False, "keep-first"), (False, "off")])
-def test_only_the_python_backend_hands_splitters_back(numba, mode, monkeypatch):
-    """Compiled, and in a pruning run on the pure-Python backend,
-    run_refinement makes one run_full call with big_load 0; a plain run on
-    the pure-Python backend passes NUMPY_ROUND_BLOCK on every call and gets
-    large splitters handed back."""
-    monkeypatch.setattr(partition, "NUMPY_ROUND_BLOCK", 1)
+def test_run_refinement_makes_one_run_full_call(numba, mode, monkeypatch):
+    """On either backend (the kernels given the numpy arrays, as compiled,
+    or memoryviews), plain or pruning, run_refinement runs every round in
+    one run_full call, and lands where a stepped run does."""
     monkeypatch.setattr(K, "HAVE_NUMBA", numba)
     calls = []
     run_full = K.run_full
 
-    def counted(regs, st, prune, max_rounds, big_load):
-        calls.append(big_load)
-        run_full(regs, st, prune, max_rounds, big_load)
+    def counted(regs, st, prune, max_rounds):
+        calls.append(max_rounds)
+        run_full(regs, st, prune, max_rounds)
 
     monkeypatch.setattr(K, "run_full", counted)
     a = gen_random_dfa(60, 3, 5)
     ref = init_refinement(a, prune=PRUNE[mode])
     run_refinement(ref)
     assert ref.rounds > 1
-    assert calls == ([0] if numba or ref.prune else [1] * (ref.rounds + 1))
+    assert calls == [a.n + 2]
     kernel = init_refinement(a, prune=PRUNE[mode])
     _step_to_end(kernel)
     assert ref.snapshot_partition() == kernel.snapshot_partition()
