@@ -342,6 +342,30 @@ def test_cli_run_does_not_import_numpy_ma(loop_path, command):
     assert run.stdout.endswith("False\n")
 
 
+def test_engine_sort_does_not_import_numpy_ma(tmp_path):
+    # a wrapper on refine.run_refinement, as a tracer sets, sorts this
+    # Wheeler NFA on the engine, whose rounds run in the kernels
+    from copar.generators import gen_wheeler_nfa
+
+    path = tmp_path / "wheeler.nfa"
+    path.write_text(serialize_automaton(gen_wheeler_nfa(3000, 3 * 2999, 3, 1)))
+    code = (
+        "import sys\n"
+        "from copar import cli, partition, refine\n"
+        "rounds = []\n"
+        "run = partition.run_refinement\n"
+        "refine.run_refinement = lambda ref: (run(ref), rounds.append(ref.rounds))\n"
+        f"assert cli.main(['sort', {str(path)!r}]) == 0\n"
+        "print(sum(rounds), 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    rounds, loaded = run.stdout.split()[-2:]
+    assert int(rounds) > 0
+    assert loaded == "False"
+
+
 @pytest.mark.parametrize("argv", [["sort"], ["prune", "--mode", "inf"], ["colex"]])
 def test_cli_run_does_not_import_oracle_bench_or_generators(loop_path, argv):
     code = (

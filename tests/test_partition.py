@@ -460,6 +460,101 @@ def test_stepping_matches_one_run_full_call(kind, mode, order):
         assert stepped.done and stepped.rounds == k - 1
 
 
+def _records_in_use(ref: Refinement) -> None:
+    """The count records a step leaves: the free ones are distinct, below
+    NREC, count 0 and held by no counted edge, and those past NREC count 0."""
+    r = ref.regs
+    free = ref.free_stk[: r[K.R_FREETOP]]
+    assert np.unique(free).size == free.size
+    assert (free < r[K.R_NREC]).all() and not ref.cnt_val[free].any()
+    assert not ref.cnt_val[r[K.R_NREC] :].any()
+    counted = [
+        e
+        for v in range(ref.n)
+        if ref.seen_gen[v] != K.ALONE
+        for e in ref.surviving_in_edges(v)
+    ]
+    held = {int(ref.cnt_ref[e]) for e in counted}
+    assert not held & set(free.tolist())
+    assert all(ref.cnt_val[q] > 0 for q in held)
+
+
+@pytest.mark.parametrize("mode", sorted(PRUNE))
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_free_records_are_distinct_unused_and_zero(kind, mode):
+    """After every step, records a round frees or never takes are unused
+    and count 0, so the next round that takes one starts it from 1."""
+    for seed in range(4):
+        a = _family(kind, random.Random(seed).randint(5, 40), seed)
+        ref = init_refinement(a, ["ascending", "descending"][seed % 2], prune=PRUNE[mode])
+        _records_in_use(ref)
+        while ref.step():
+            _records_in_use(ref)
+        _records_in_use(ref)
+
+
+@pytest.mark.parametrize("mode", sorted(PRUNE))
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_every_step_splits_against_the_predicted_splitter(kind, mode):
+    """Before each step, done is True exactly when no splitter is left;
+    step() reports a round exactly when one is, splits against the heap
+    root's smaller end part, and never takes more than half of its span."""
+    for seed in range(4):
+        a = _family(kind, random.Random(seed).randint(5, 40), seed)
+        ref = init_refinement(a, ["ascending", "descending"][seed % 2], prune=PRUNE[mode])
+        while True:
+            choice = _select(ref)
+            assert ref.done == (choice is None)
+            rounds = ref.rounds
+            more = ref.step()
+            assert more == (choice is not None)
+            if not more:
+                break
+            assert ref.rounds == rounds + 1
+            members, _, (lo, hi) = choice
+            assert 2 * len(members) <= hi - lo
+            _split_against(ref, choice)
+        assert ref.done and ref.rounds == rounds
+
+
+SIZES = [(0, 5), (1, 12), (2, 30), (3, 60), (6, 40), (4, 500), (5, 2000)]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_run_refinement_matches_the_stepped_kernel(kind, order):
+    """Up to n = 2000, one run_refinement call and a stepped run leave the
+    same partition, rounds and splitter counts, and the engine invariants
+    hold after every step up to n = 200."""
+    for seed, n in SIZES:
+        a = _family(kind, n, seed)
+        stepped = init_refinement(a, order)
+        while stepped.step():
+            if n <= 200:
+                stepped.check_invariants()
+        ref = init_refinement(a, order)
+        run_refinement(ref)
+        assert ref.rounds > 0
+        assert ref.snapshot_partition() == stepped.snapshot_partition()
+        assert (ref.rounds, ref.max_splitter_count) == (stepped.rounds, stepped.max_splitter_count)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_pruning_runs_of_small_dfas_match_the_stepped_kernel(order, monkeypatch):
+    """On the pure-Python backend, pruning runs of DFAs up to n = 2000 equal
+    a stepped run, deleted edges included."""
+    monkeypatch.setattr(K, "HAVE_NUMBA", False)
+    for seed, n in SIZES:
+        a = _family("dfa", n, seed)
+        kernel = init_refinement(a, order, prune=True)
+        _step_to_end(kernel)
+        ref = init_refinement(a, order, prune=True)
+        run_refinement(ref)
+        assert ref.snapshot_partition() == kernel.snapshot_partition()
+        assert (ref.rounds, ref.max_splitter_count) == (kernel.rounds, kernel.max_splitter_count)
+        assert ref.deleted_edge_ids() == kernel.deleted_edge_ids()
+
+
 @pytest.mark.parametrize("order", ["ascending", "descending"])
 def test_pruning_run_matches_the_stepped_kernel_at_full_size(order):
     """On the shape of the dfa-colex input, run_refinement and a stepped
@@ -478,10 +573,11 @@ def test_pruning_run_matches_the_stepped_kernel_at_full_size(order):
     assert np.array_equal(*kept)
 
 
-def test_record_capacity_breach_stops_the_run():
+@pytest.mark.parametrize("mode", sorted(PRUNE))
+def test_record_capacity_breach_stops_the_run(mode):
     """Shrink the count records to the initial ones: the first round that
-    needs a fresh record stops with STATUS_RECORD_CAP."""
-    ref = init_refinement(gen_random_nfa(40, 2, 3, m=100))
+    needs a fresh record stops with STATUS_RECORD_CAP, pruning or not."""
+    ref = init_refinement(gen_random_nfa(40, 2, 3, m=100), prune=PRUNE[mode])
     ref.cnt_val = ref.cnt_val[: ref.n].copy()
     ref._st = ref._st._replace(cnt_val=K.kernel_view(ref.cnt_val))
     with pytest.raises(RuntimeError, match=f"status {K.STATUS_RECORD_CAP}"):
