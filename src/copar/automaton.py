@@ -53,7 +53,8 @@ class Automaton:
     """Edge-labeled automaton with a source state.
 
     Edges are stored as three parallel int64 arrays (esrc, edst, elab) in
-    construction order. Duplicate edges are rejected; use parse_automaton to
+    construction order; arrays passed in are copied, so the caller keeps
+    its own. Duplicate edges are rejected; use parse_automaton to
     deduplicate text input with a warning instead.
     """
 
@@ -66,25 +67,31 @@ class Automaton:
         source: int,
         edges: Iterable[tuple[int, int, int]] | tuple[np.ndarray, np.ndarray, np.ndarray],
     ):
+        if isinstance(edges, tuple) and len(edges) == 3 and isinstance(edges[0], np.ndarray):
+            cols = [np.array(col, dtype=np.int64) for col in edges]  # the caller keeps its arrays
+        else:
+            rows = list(edges)
+            cols = [np.fromiter((r[i] for r in rows), np.int64, len(rows)) for i in range(3)]
+        self._set(n, sigma, source, *cols)
+
+    @classmethod
+    def _adopt(cls, n: int, sigma: int, source: int, *cols: np.ndarray) -> Automaton:
+        """The automaton on int64 edge columns built for it, kept without a copy."""
+        a = cls.__new__(cls)
+        a._set(n, sigma, source, *cols)
+        return a
+
+    def _set(self, n: int, sigma: int, source: int, esrc: np.ndarray, edst: np.ndarray, elab: np.ndarray) -> None:
+        """Check the header and the int64 edge columns; hold them."""
         if n < 1:
             raise ValueError(f"need at least one state, got n={n}")
         if sigma < 0:
             raise ValueError(f"alphabet size must be >= 0, got {sigma}")
         if not 0 <= source < n:
             raise ValueError(f"source {source} out of range for n={n}")
-        if isinstance(edges, tuple) and len(edges) == 3 and isinstance(edges[0], np.ndarray):
-            esrc = np.asarray(edges[0], dtype=np.int64).copy()
-            edst = np.asarray(edges[1], dtype=np.int64).copy()
-            elab = np.asarray(edges[2], dtype=np.int64).copy()
-        else:
-            rows = list(edges)
-            esrc = np.fromiter((r[0] for r in rows), dtype=np.int64, count=len(rows))
-            edst = np.fromiter((r[1] for r in rows), dtype=np.int64, count=len(rows))
-            elab = np.fromiter((r[2] for r in rows), dtype=np.int64, count=len(rows))
         if not (len(esrc) == len(edst) == len(elab)):
             raise ValueError("edge arrays must have equal length")
-        m = len(esrc)
-        if m:
+        if len(esrc):
             if esrc.min() < 0 or esrc.max() >= n or edst.min() < 0 or edst.max() >= n:
                 raise ValueError("edge endpoint out of range")
             if elab.min() < 0 or elab.max() >= sigma:
@@ -280,10 +287,10 @@ def parse_automaton(text: str) -> Automaton:
     A well-formed body (ASCII digits and whitespace only, three fields on
     each non-blank line, no duplicate edge) is checked and converted in
     numpy, in blocks of whole lines of about PARSE_BLOCK characters, each
-    by one np.fromstring call into one array of the 3m values. So the
-    parse's memory beyond that array and the automaton's columns scales
-    with a block, not with the text. Anything else is parsed again line by
-    line, which gives the errors and warnings their line numbers.
+    by one np.fromstring call whose values go straight into the
+    automaton's three columns. So the parse's memory beyond those columns
+    scales with a block, not with the text. Anything else is parsed again
+    line by line, which gives the errors and warnings their line numbers.
     """
     a = _parse_vectorized(text)
     return a if a is not None else _parse_lines(text)
@@ -315,8 +322,8 @@ _LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 # longer digit runs may not fit in int64
 _MAX_DIGITS = 18
 # _parse_vectorized reads the body in blocks of about this many characters,
-# each ending on a "\n", so its temporaries scale with a block, not with the
-# text.
+# each ending on a "\n", and reachable_mask expands a BFS level in slices of
+# at most this many edges, so their temporaries scale with a block.
 PARSE_BLOCK = 1 << 16
 
 
@@ -342,24 +349,25 @@ def _parse_vectorized(text: str) -> Automaton | None:
         return None
     size = len(text)
     if 6 * m - 1 > size - pos:
-        return None  # too short for m edge lines: keeps vals below 4 bytes a character
-    vals = np.zeros(3 * m, dtype=np.int64)
-    k = 0  # values read so far
+        return None  # too short for m edge lines: keeps cols below 4 bytes a character
+    cols = np.empty((3, m), dtype=np.int64)  # esrc, edst, elab: each block's rows go here
+    k = 0  # edge rows read so far
     lo = pos
     while lo < size:
         hi = size if size - lo <= PARSE_BLOCK else text.rfind("\n", lo, lo + PARSE_BLOCK) + 1
         if hi <= lo:  # a line longer than a block
             hi = text.find("\n", lo + PARSE_BLOCK) + 1 or size
-        block = _block_values(text[lo:hi], 3 * m - k)
+        block = _block_values(text[lo:hi], 3 * (m - k))
         if block is None:
             return None
-        vals[k : k + block.size] = block
-        k += block.size
+        rows = block.reshape(-1, 3).T
+        cols[:, k : k + rows.shape[1]] = rows
+        k += rows.shape[1]
         lo = hi
-    if k != 3 * m:
+    if k != m:
         return None
     try:  # an endpoint or letter out of range, or a duplicate edge
-        return Automaton(n, sigma, source, (vals[0::3], vals[1::3], vals[2::3]))
+        return Automaton._adopt(n, sigma, source, *cols)
     except ValueError:
         return None
 
@@ -532,16 +540,16 @@ def reachable_mask(a: Automaton) -> np.ndarray:
     the source: O(n log n) work in O(log n) numpy passes. A state on a
     detached cycle never lands there.
 
-    Any other graph takes a BFS in O(n + m): a level of at most
-    SMALL_LEVEL_EDGES states and out-edges is scanned in plain Python over
-    memoryviews of the CSR arrays, a larger one in one vectorized step, so
-    a deep, thin automaton makes no numpy call per level.
+    Any other graph takes a BFS in O(n + m) over the edges grouped by
+    source: where they lie if they already are, else a copy. A level of at
+    most SMALL_LEVEL_EDGES states and out-edges is scanned in plain Python
+    over memoryviews, so a deep, thin automaton makes no numpy call per
+    level; a larger one is expanded by numpy in slices of at most
+    PARSE_BLOCK edges.
     """
     n = a.n
     visited = np.zeros(n, dtype=bool)
     visited[a.source] = True
-    if a.m == 0:
-        return visited
     if a.m == n - 1:
         indeg = np.bincount(a.edst, minlength=n)
         if indeg[a.source] == 0 and np.count_nonzero(indeg == 1) == n - 1:
@@ -551,8 +559,12 @@ def reachable_mask(a: Automaton) -> np.ndarray:
             for _ in range((n - 1).bit_length()):
                 parent = parent[parent]
             return parent == a.source
-    rows, ptr, deg = csr(a.esrc, n)
-    dst_by_src = a.edst[rows]
+    if np.all(a.esrc[1:] >= a.esrc[:-1]):
+        deg = np.bincount(a.esrc, minlength=n)
+        ptr, dst_by_src = np.cumsum(deg) - deg, a.edst
+    else:
+        rows, ptr, deg = csr(a.esrc, n)
+        dst_by_src = a.edst[rows]
     slot = np.empty(n, dtype=np.int64)
     seen, lo, hi, dst = (memoryview(x) for x in (visited, ptr, ptr + deg, dst_by_src))
     frontier: list[int] | np.ndarray = [a.source]
@@ -571,17 +583,23 @@ def reachable_mask(a: Automaton) -> np.ndarray:
             frontier = level
             continue
         frontier = np.asarray(frontier, dtype=np.int64)
+        # the level's out-edge e leaves frontier[i] when
+        # ends[i] - counts[i] <= e < ends[i], and is dst_by_src[shift[i] + e]
         counts = deg[frontier]
         ends = np.cumsum(counts)
-        idx = np.repeat(ptr[frontier] - (ends - counts), counts) + np.arange(ends[-1])
-        targets = dst_by_src[idx]
-        targets = targets[~visited[targets]]
-        # dedupe without a sort: of the positions written to a target's
-        # slot, exactly one sticks
-        at = np.arange(targets.size)
-        slot[targets] = at
-        frontier = targets[slot[targets] == at]
-        visited[frontier] = True
+        shift = ptr[frontier] - (ends - counts)
+        level = [frontier[:0]]
+        for first in range(0, edges, PARSE_BLOCK):
+            last = min(first + PARSE_BLOCK, edges)
+            i, j = np.searchsorted(ends, (first, last - 1), side="right") + (0, 1)
+            take = np.minimum(ends[i:j], last) - np.maximum(ends[i:j] - counts[i:j], first)
+            targets = dst_by_src[np.repeat(shift[i:j], take) + np.arange(first, last)]
+            targets = targets[~visited[targets]]
+            at = np.arange(targets.size)  # dedupe without a sort: one write to a slot sticks
+            slot[targets] = at
+            level.append(targets[slot[targets] == at])
+            visited[level[-1]] = True
+        frontier = np.concatenate(level)
         edges = int(deg[frontier].sum())
         if frontier.size <= SMALL_LEVEL_EDGES:
             frontier = frontier.tolist()
@@ -657,7 +675,7 @@ def make_input_consistent(a: Automaton) -> tuple[Automaton, list[int]]:
     # distinct input edges give distinct rows, so sorting is all that
     # sorted(set(...)) would do
     rows = np.lexsort((lab, dst, src))
-    ic = Automaton(1 + pair_state.size, a.sigma, 0, (src[rows], dst[rows], lab[rows]))
+    ic = Automaton._adopt(1 + pair_state.size, a.sigma, 0, src[rows], dst[rows], lab[rows])
     return ic, [a.source] + pair_state.tolist()
 
 
@@ -696,7 +714,7 @@ def quotient(a: Automaton, p: OrderedPartition) -> Automaton:
         src, dst = cls[a.esrc], cls[a.edst]
         order, new = sorted_runs(src, dst, a.elab)
         rows = order[new]
-        return Automaton(k, a.sigma, source_cls, (src[rows], dst[rows], a.elab[rows]))
+        return Automaton._adopt(k, a.sigma, source_cls, src[rows], dst[rows], a.elab[rows])
     # in place, so at most two arrays of m rows are alive: out of place,
     # the temporaries raised nfa-sort's peak RSS by about 0.5 MB
     key = cls[a.esrc]
@@ -709,7 +727,7 @@ def quotient(a: Automaton, p: OrderedPartition) -> Automaton:
     np.not_equal(key[1:], key[:-1], out=new[1:])
     pair, lab = np.divmod(key[new], sigma)
     src, dst = np.divmod(pair, k)
-    return Automaton(k, a.sigma, source_cls, (src, dst, lab))
+    return Automaton._adopt(k, a.sigma, source_cls, src, dst, lab)
 
 
 def path_dfa(s: Sequence[int]) -> Automaton:

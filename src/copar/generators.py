@@ -43,7 +43,7 @@ def _from_columns(n: int, sigma: int, src, dst, lab) -> Automaton:
     (from, to, letter)."""
     src, dst, lab = (np.asarray(col, dtype=np.int64) for col in (src, dst, lab))
     o = np.lexsort((lab, dst, src))
-    return Automaton(n, sigma, 0, (src[o], dst[o], lab[o]))
+    return Automaton._adopt(n, sigma, 0, src[o], dst[o], lab[o])
 
 
 def gen_wheeler_nfa(n: int, m: int, sigma: int, seed: int) -> Automaton:

@@ -49,7 +49,7 @@ class PrunedAutomaton:
         """The base automaton restricted to the surviving edges."""
         a = self.base
         ids = np.flatnonzero(self._alive)
-        return Automaton(a.n, a.sigma, a.source, (a.esrc[ids], a.edst[ids], a.elab[ids]))
+        return Automaton._adopt(a.n, a.sigma, a.source, a.esrc[ids], a.edst[ids], a.elab[ids])
 
     def kept_automaton(self) -> Automaton:
         """The base automaton restricted to the kept in-edges (one per state)."""
@@ -57,7 +57,7 @@ class PrunedAutomaton:
         dst = np.flatnonzero(np.arange(a.n) != a.source)
         src, lab = self.kept_src[dst], a.in_labels()[dst]
         rows = np.lexsort((dst, src))
-        return Automaton(a.n, a.sigma, a.source, (src[rows], dst[rows], lab[rows]))
+        return Automaton._adopt(a.n, a.sigma, a.source, src[rows], dst[rows], lab[rows])
 
 
 def _sorted_edge_list(a: Automaton, ids: np.ndarray) -> list[tuple[int, int, int]]:

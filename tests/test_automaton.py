@@ -89,6 +89,16 @@ def test_unsorted_rows_with_a_distant_duplicate_are_refused():
     assert Automaton(4, 2, 0, [(1, 3, 0), (0, 1, 0), (2, 2, 1), (0, 2, 1)]).m == 4
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_constructor_keeps_the_callers_arrays_apart(dtype):
+    cols = tuple(np.array(c, dtype=dtype) for c in ([0, 0, 1], [1, 2, 2], [0, 1, 0]))
+    a = Automaton(3, 2, 0, cols)
+    for col in cols:
+        col[:] = 2
+    assert a.sorted_edges() == [(0, 1, 0), (0, 2, 1), (1, 2, 0)]
+    assert not any(np.shares_memory(c, x) for c in cols for x in (a.esrc, a.edst, a.elab))
+
+
 @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=12), st.booleans())
 def test_duplicate_check_matches_a_set(rows, sort):
     rows = sorted(rows) if sort else rows
@@ -228,7 +238,9 @@ def _reachability_graphs(draw):
     edges.update(
         (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), 0) for _ in range(k)
     )
-    return Automaton(n, 2, source, sorted(edges))
+    # grouped by source, as serialized texts are, or in a random order
+    rows = sorted(edges)
+    return Automaton(n, 2, source, rows if draw(st.booleans()) else draw(st.permutations(rows)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,16 +259,69 @@ def test_reachable_mask_without_edges_and_away_from_state_zero():
     assert reachable_mask(a).tolist() == _bfs_reachable(a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_reachability_graphs(), st.integers(1, 2 * automaton.SMALL_LEVEL_EDGES))
+def test_reachable_mask_in_small_blocks_matches_plain_bfs(a, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "PARSE_BLOCK", block)
+        assert reachable_mask(a).tolist() == _bfs_reachable(a)
+
+
+@pytest.mark.parametrize("block", [1, 7, 48, 1 << 16])
+@pytest.mark.parametrize("grouped", [True, False])
+def test_a_wide_level_in_several_blocks(block, grouped, monkeypatch):
+    """The source's k out-edges are one vectorized level, and the 4k
+    out-edges of its targets the next, split into blocks of the patched
+    size. Those edges repeat targets within and across blocks, lead back
+    to visited states and leave some states unreachable."""
+    k = 3 * automaton.SMALL_LEVEL_EDGES
+    rng = np.random.default_rng(block)
+    hops = {(u, int(v), 0) for u in range(1, k + 1) for v in rng.integers(0, 3 * k, 4)}
+    rows = sorted({(0, u, 0) for u in range(1, k + 1)} | hops)
+    a = Automaton(3 * k, 1, 0, rows if grouped else [rows[i] for i in rng.permutation(len(rows))])
+    monkeypatch.setattr(automaton, "PARSE_BLOCK", block)
+    want = _bfs_reachable(a)
+    assert reachable_mask(a).tolist() == want
+    assert k < sum(want) < 3 * k
+
+
+def test_reachable_mask_allocates_nothing_per_edge_on_grouped_edges(monkeypatch):
+    """At fixed n, raising m eight-fold on edges grouped by source (as
+    gen_wheeler_nfa and every serialized text give them) raises the
+    tracemalloc peak of reachable_mask by under 6 bytes an added edge, less
+    than one int64 copy of a column: the edges are read where they lie, and
+    a BFS level is expanded a block at a time (the patched block keeps its
+    slices small at both sizes). What grows is one bool an edge, the test
+    that the sources never fall, and the n-sized arrays of a level, wider
+    on a denser graph. Copying the edges into CSR order held about 34
+    bytes an added edge here."""
+    monkeypatch.setattr(automaton, "PARSE_BLOCK", 1024)
+    n, ms, peaks = 20_000, (2 * 20_000, 16 * 20_000), []
+    for m in ms:
+        a = gen_wheeler_nfa(n, m, 16, 7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert reachable_mask(a).all()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 6 * (ms[1] - ms[0]), peaks
+
+
 class _CountingNumpy:
-    """Stands in for the numpy module and counts the functions looked up on it."""
+    """Stands in for the numpy module and counts the functions looked up on
+    it, keeping their names."""
 
     def __init__(self) -> None:
         self.calls = 0
+        self.names: set[str] = set()
 
     def __getattr__(self, name: str):
         attr = getattr(np, name)
         if callable(attr):
             self.calls += 1
+            self.names.add(name)
         return attr
 
 
@@ -323,16 +388,19 @@ def _parent_graphs(draw):
 @settings(max_examples=80, deadline=None)
 @given(_parent_graphs())
 def test_reachable_mask_by_pointer_jumping_matches_plain_bfs(case):
-    """Against the plain BFS, with validate's diagnostics unchanged, and
-    the BFS's CSR built only for the graphs that are not in-degree one."""
+    """Against the plain BFS, with validate's diagnostics unchanged; the
+    BFS (its out-edge offsets a cumsum) runs only on the graphs that are
+    not in-degree one, and sorts their edges by source only when they are
+    not already grouped so."""
     kind, a = case
     want = _bfs_reachable(a)
-    built = []
+    proxy = _CountingNumpy()
     with pytest.MonkeyPatch.context() as mp:
-        csr = automaton.csr
-        mp.setattr(automaton, "csr", lambda *args: (built.append(1), csr(*args))[1])
+        mp.setattr(automaton, "np", proxy)
         assert reachable_mask(a).tolist() == want
-    assert bool(built) == (kind in NEAR_MISS_KINDS) and a.m == a.n - 1
+    grouped = bool(np.all(a.esrc[1:] >= a.esrc[:-1]))
+    assert ("cumsum" in proxy.names) == (kind in NEAR_MISS_KINDS) and a.m == a.n - 1
+    assert ("argsort" in proxy.names) == (kind in NEAR_MISS_KINDS and not grouped)
     got = validate(a)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(automaton, "reachable_mask", lambda b: np.array(want))
@@ -870,20 +938,20 @@ def test_a_huge_declared_edge_count_allocates_nothing(line_loop_calls):
 
 
 def test_parse_peak_memory_scales_with_the_edges_not_the_text():
-    """The parse's tracemalloc peak stays below len(text) + 48 * m bytes.
+    """The parse's tracemalloc peak stays below len(text) + 28 * m bytes.
 
-    48 bytes an edge pay for the values (three int64, 24 bytes) and the
-    Automaton's int64 columns copied from them (24 more), which live
-    together while the constructor checks the rows; its row checks add a
-    few bool temporaries, about 4 bytes an edge. Everything else (a block's
-    text and bytes, its masks, digit-run bounds, newline positions and
-    values) scales with PARSE_BLOCK, not with the text. On this text,
-    about 13 characters an edge line, the parse peaks near 48 * m plus 0.3
-    bytes a character, so one byte a character leaves three times that in
-    headroom; yet one whole-text temporary of one byte a character, such
-    as an encoded copy of the body or a mask over it, breaks the bound. A
-    parse that converted the whole body in one numpy call measured 11.8
-    bytes a character, about 8 above 48 * m.
+    28 bytes an edge pay for one copy of the edges, the Automaton's three
+    int64 columns (24 bytes), into which each block's values go, and the
+    bool temporaries of the constructor's row checks, about 4 bytes an
+    edge. Everything else (a block's text and bytes, its masks, digit-run
+    bounds, newline positions and values) scales with PARSE_BLOCK, not with
+    the text. On this text, about 13 characters an edge line, the parse
+    peaks near 30 * m, 0.5 bytes a character above the columns, and the
+    bound leaves 0.8 bytes a character of headroom; so one whole-text
+    temporary of one byte a character, such as an encoded copy of the body
+    or a mask over it, breaks the bound, as does a second copy of the
+    edges: parsing into an array of the 3m values that the constructor
+    then copied peaked near 52 * m.
     """
     text = serialize_automaton(gen_wheeler_nfa(50_000, 3 * 49_999, 3, 7))
     assert 1.9e6 < len(text) < 2.1e6
@@ -895,4 +963,4 @@ def test_parse_peak_memory_scales_with_the_edges_not_the_text():
     finally:
         tracemalloc.stop()
     assert a.m == 3 * 49_999
-    assert peak < len(text) + 48 * a.m, (peak, len(text), a.m)
+    assert peak < len(text) + 28 * a.m, (peak, len(text), a.m)
