@@ -63,12 +63,13 @@ def kernel_view(a):
     return a if HAVE_NUMBA else memoryview(a)
 
 
-# The engine arrays: state sequence and part/X-part spans, edges and their
-# CSR adjacency, count records, then per-round scratch.
+# The engine arrays: state sequence and part/X-part spans, edges grouped by
+# source with their out-offsets and in-edge CSR, count records, then
+# per-round scratch.
 Engine = namedtuple(
     "Engine",
     "heap xbeg xend xcnt xof elems pos partof pbeg pend"
-    " esrc edst out_ptr out_len out_lst out_pos in_ptr in_len in_lst in_pos"
+    " esrc edst out_ptr in_ptr in_len in_lst"
     " cnt_ref cnt_val free_stk splitcnt seen_gen"
     " xs d12 d11 xrec moved_cnt",
 )
@@ -131,13 +132,13 @@ def _prune_d11(st, bfirst, b, s, ftop, n11):
     before the round moves any state, so B is still the one part b, and B
     already has its own X id. bfirst is 1 when B's side is kept, so the
     losing edges come from the remainder of the old splitter (source in
-    X-part s), and 0 when they come from B' (source in part b). Deleted
-    edges are swap-removed past the live ends of both adjacency lists, where
-    Refinement finds them, and their count record is decremented on the
-    spot.
+    X-part s), and 0 when they come from B' (source in part b). A deleted
+    edge's count record is decremented on the spot, its cnt_ref becomes -1,
+    which the scans of later rounds skip and Refinement.alive_edges reads,
+    and the last live edge of x's in-list takes its place there.
     """
     (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
-     esrc, edst, out_ptr, out_len, out_lst, out_pos, in_ptr, in_len, in_lst, in_pos,
+     esrc, edst, out_ptr, in_ptr, in_len, in_lst,
      cnt_ref, cnt_val, free_stk, splitcnt, seen_gen,
      xs, d12, d11, xrec, moved_cnt) = st
     for i in range(n11):
@@ -157,21 +158,9 @@ def _prune_d11(st, bfirst, b, s, ftop, n11):
                 if cnt_val[r] == 0:
                     free_stk[ftop] = r
                     ftop += 1
-                oi = out_pos[e]
-                olast = out_ptr[y] + out_len[y] - 1
-                f = out_lst[olast]
-                out_lst[oi] = f
-                out_pos[f] = oi
-                out_lst[olast] = e
-                out_pos[e] = olast
-                out_len[y] -= 1
-                ilast = base + in_len[x] - 1
-                f2 = in_lst[ilast]
-                in_lst[base + j] = f2
-                in_pos[f2] = base + j
-                in_lst[ilast] = e
-                in_pos[e] = ilast
+                cnt_ref[e] = -1
                 in_len[x] -= 1
+                in_lst[base + j] = in_lst[base + in_len[x]]
             else:
                 j += 1
     return ftop
@@ -192,9 +181,10 @@ def run_full(regs, st, prune, max_rounds):
     sifted down when B was first (S's begin moved), and left as it is when
     B was last.
 
-    The split is one pass over B's out-edges. Each edge e -> x leaves its
-    record of (x, S), which is decremented and freed at zero, and joins the
-    record of (x, B's X-part), taken from the free stack on x's first edge.
+    The split is one pass over the out-edges of each y in B, the ids
+    out_ptr[y] .. out_ptr[y + 1]. Each edge e -> x leaves its record of
+    (x, S), which is decremented and freed at zero, and joins the record
+    of (x, B's X-part), taken from the free stack on x's first edge.
     When that first edge is x's only one from S, the old record simply
     becomes the new one with its count of 1. Free records and those at or
     past NREC count 0, so a taken record starts at 0, and the old record
@@ -209,10 +199,12 @@ def run_full(regs, st, prune, max_rounds):
     D_11 states first lose their in-edges from the side that comes later in
     the part order, and one move takes the states that kept edges from the
     first side toward it: all reached states when B was first, D_12 when it
-    was last. A moved piece takes a fresh part id and the remainder keeps
-    the old one (and the count records of its states' in-edges); a part
-    whose states all moved stays whole, and an X-part turning compound is
-    pushed.
+    was last. A lost edge stays among its source's out-edges, its cnt_ref
+    set to -1, and later passes skip it; a state serves in at most
+    floor(log2 n) + 1 splitters, so its dead edges keep the O(m log n)
+    bound. A moved piece takes a fresh part id and the remainder keeps the
+    old one (and the count records of its states' in-edges); a part whose
+    states all moved stays whole, and an X-part turning compound is pushed.
 
     Without pruning, a split that leaves a state alone in its part sets its
     seen_gen to ALONE, and the pass skips every edge into such a state
@@ -225,7 +217,7 @@ def run_full(regs, st, prune, max_rounds):
     every return; the heap sifts move a hole instead of swapping.
     """
     (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
-     esrc, edst, out_ptr, out_len, out_lst, out_pos, in_ptr, in_len, in_lst, in_pos,
+     esrc, edst, out_ptr, in_ptr, in_len, in_lst,
      cnt_ref, cnt_val, free_stk, splitcnt, seen_gen,
      xs, d12, d11, xrec, moved_cnt) = st
     hcap, xcap = heap.shape[0], xbeg.shape[0]
@@ -284,14 +276,14 @@ def run_full(regs, st, prune, max_rounds):
         for i in range(pbeg[b], pend[b]):
             y = elems[i]
             splitcnt[y] += 1
-            base = out_ptr[y]
-            for j in range(base, base + out_len[y]):
-                e = out_lst[j]
+            for e in range(out_ptr[y], out_ptr[y + 1]):
                 x = edst[e]
                 sg = seen_gen[x]
                 if sg == ALONE:
                     continue
                 r = cnt_ref[e]
+                if r < 0:  # deleted by pruning
+                    continue
                 left = cnt_val[r] - 1
                 if sg == gen:
                     cnt_val[r] = left

@@ -1,13 +1,15 @@
 """Refinable ordered partitions: the stepwise engine over the compiled kernel.
 
 A Refinement holds the whole engine state as flat arrays: the state sequence
-(elems/pos/partof), contiguous part and X-part spans, per-(state, X-part)
-count records with per-edge record pointers, mutable adjacency in CSR form
-with swap-remove deletion, and a min-heap that holds each compound X-part
-exactly once, keyed by its begin; a round updates its root in place. Six
-more arrays of n serve the rounds: the round marks of the reached states,
-the splitter counts, the reached states and their D_12 and D_11 split, and
-each reached state's new count record. A round reads the splitter straight
+(elems/pos/partof), contiguous part and X-part spans, the edges grouped
+by source (state y's out-edges are the ids out_ptr[y] .. out_ptr[y + 1]:
+the automaton's columns where they lie, else sorted copies), per-(state,
+X-part) count records with per-edge record pointers, and a min-heap that
+holds each compound X-part exactly once, keyed by its begin; a round
+updates its root in place. Six more arrays of n serve the rounds: the
+round marks of the reached states, the splitter counts, the reached
+states and their D_12 and D_11 split, and each reached state's new count
+record. A round reads the splitter straight
 from its span of the state sequence, walks its out-edges once and moves
 each reached state once. Refinement packs kernel
 views of these arrays into one copar._kernels.Engine record for the one
@@ -24,12 +26,12 @@ that leaves a state alone in its part marks it (seen_gen =
 _kernels.ALONE), and every later round skips the edges into it, so its
 count records go stale: a pruning round must still find a D_11
 singleton's records exact, so pruning runs mark nothing. Only a pruning
-refinement builds the arrays that edge deletion updates: the in-edge CSR
-(in_lst, in_ptr, in_len) and the edge positions (in_pos, out_pos). A
-plain one holds 1-element placeholders and counts its first records with
-one bincount of the targets. There is no deletion log: a deleted edge sits
-past its target's live end in in_lst, and code outside the engine reads
-deletions through alive_edges() alone.
+refinement builds the in-edge CSR (in_lst, in_ptr, in_len) that edge
+deletion walks and swap-removes from. A plain one holds 1-element
+placeholders and counts its first records with one bincount of the
+targets. There is no deletion log: a deleted edge's record pointer
+(cnt_ref) reads -1, later rounds skip it among its source's out-edges,
+and code outside the engine reads deletions through alive_edges() alone.
 
 Every round, on either backend, is the kernel round, which walks B's
 out-edges one at a time: compiled with numba, else as plain Python at
@@ -98,20 +100,16 @@ class Refinement:
         self.xend[0] = n
         self.xcnt[0] = nparts
 
-        self.esrc = np.asarray(a.esrc, dtype=np.int64)
-        self.edst = np.asarray(a.edst, dtype=np.int64)
-        self.out_lst, self.out_ptr, self.out_len = csr(self.esrc, n)
+        order = self._edge_order()  # dropped at once, not kept as m int64
+        self.esrc, self.edst = (a.esrc, a.edst) if order is None else (a.esrc[order], a.edst[order])
+        del order
+        self.out_ptr = np.r_[0, np.cumsum(np.bincount(self.esrc, minlength=n))]
         self.cnt_val = np.zeros(rcap, dtype=np.int64)
         if self.prune:
             self.in_lst, self.in_ptr, self.in_len = csr(self.edst, n)
-            self.in_pos = np.empty(m, dtype=np.int64)
-            self.in_pos[self.in_lst] = np.arange(m, dtype=np.int64)
-            self.out_pos = np.empty(m, dtype=np.int64)
-            self.out_pos[self.out_lst] = np.arange(m, dtype=np.int64)
             self.cnt_val[:n] = self.in_len
         else:  # only pruning deletes edges; the kernels never read these
             self.in_lst = self.in_ptr = self.in_len = np.zeros(1, dtype=np.int64)
-            self.in_pos = self.out_pos = self.in_lst
             self.cnt_val[:n] = np.bincount(self.edst, minlength=n)
         self.cnt_ref = self.edst.copy()
         self.free_stk = np.zeros(rcap, dtype=np.int64)
@@ -173,24 +171,32 @@ class Refinement:
     # ------------------------------------------------------------------
     # introspection used by pruning and tests
 
+    def _edge_order(self) -> np.ndarray | None:
+        """Engine edge i is automaton edge order[i], the ids stably sorted
+        by source; None when the automaton's edges already lie that way."""
+        esrc = self.automaton.esrc
+        if np.all(esrc[1:] >= esrc[:-1]):
+            return None
+        return np.argsort(esrc, kind="stable")
+
     def surviving_in_edges(self, v: int) -> list[int]:
-        """Ids of v's in-edges still alive (in storage order of the CSR)."""
+        """Ids of v's in-edges still alive, ascending."""
         if not 0 <= v < self.n:
             raise ValueError(f"state {v} out of range")
-        if not self.prune:  # every edge is alive
-            return np.flatnonzero(self.edst == v).tolist()
-        return self.in_lst[self.in_ptr[v] : self.in_ptr[v] + self.in_len[v]].tolist()
+        return np.flatnonzero((self.automaton.edst == v) & self.alive_edges()).tolist()
 
     def alive_edges(self) -> np.ndarray:
-        """One bool per edge id: whether pruning has left the edge alive.
-        A live edge sits before its target's live end in in_lst, past which
-        swap-remove moves every deleted one; without pruning all are alive."""
-        if not self.prune:
-            return np.ones(self.m, dtype=bool)
-        return self.in_pos - self.in_ptr[self.edst] < self.in_len[self.edst]
+        """One bool per automaton edge id: whether pruning has left the edge
+        alive. Pruning marks a deleted edge with cnt_ref -1; every other
+        edge holds a count record."""
+        alive = self.cnt_ref >= 0
+        order = self._edge_order()
+        if order is not None:
+            alive[order] = alive.copy()
+        return alive
 
     def deleted_edge_ids(self) -> list[int]:
-        """Edge ids deleted by pruning so far, ascending."""
+        """Automaton edge ids deleted by pruning so far, ascending."""
         return np.flatnonzero(~self.alive_edges()).tolist()
 
     def _raise_status(self) -> None:
@@ -246,15 +252,16 @@ class Refinement:
             p = int(self.partof[v])
             assert int(self.pend[p]) - int(self.pbeg[p]) == 1, f"marked state {v} is not alone"
 
-        live = [e for v in range(n) for e in self.surviving_in_edges(v)]
-        assert sorted(live) == sorted(
-            int(self.out_lst[int(self.out_ptr[u]) + j])
-            for u in range(n)
-            for j in range(int(self.out_len[u]))
-        ), "in and out adjacency disagree on live edges"
+        deg = np.diff(self.out_ptr)
+        assert self.out_ptr[0] == 0 and (deg >= 0).all() and np.array_equal(
+            np.repeat(np.arange(n), deg), self.esrc
+        ), "out ranges do not hold exactly each state's edges"
+        live = [e for e in range(self.m) if int(self.cnt_ref[e]) >= 0]
         if self.prune:
-            dead = self.deleted_edge_ids()
-            assert sorted(live + dead) == list(range(self.m)), "live and deleted edges do not partition 0..m-1"
+            ins = {v: self.in_lst[self.in_ptr[v] : self.in_ptr[v] + self.in_len[v]].tolist() for v in range(n)}
+            assert sorted(sum(ins.values(), [])) == live and all(
+                int(self.edst[e]) == v for v in ins for e in ins[v]
+            ), "in-edge lists disagree with the live edges"
         # rounds skip marked states, so only the others keep exact records
         counted = [e for e in live if int(self.edst[e]) not in alone]
         key = {e: (int(self.edst[e]), int(self.xof[self.partof[self.esrc[e]]])) for e in counted}

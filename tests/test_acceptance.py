@@ -266,7 +266,7 @@ def test_criterion_8_work_bound():
             run_refinement(ref)
             cap = n.bit_length()  # floor(log2 n) + 1
             states = int(ref.splitcnt.sum())
-            scanned = int((ref.splitcnt * ref.out_len[:n]).sum())
+            scanned = int((ref.splitcnt * np.diff(ref.out_ptr)).sum())
             if states > n * cap or scanned > a.m * cap:
                 detail = f"{name} n={n}: {states} splitter states, {scanned} edges scanned"
                 _report(8, False, f"{detail}, cap {cap}")

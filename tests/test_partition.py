@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_only_a_pruning_refinement_builds_the_deletion_arrays():
     a = gen_random_dfa(20, 2, 4)
     plain = init_refinement(a)
     pruning = init_refinement(a, prune=True)
-    for f, size in (("in_lst", a.m), ("in_ptr", a.n), ("in_len", a.n), ("in_pos", a.m), ("out_pos", a.m)):
+    for f, size in (("in_lst", a.m), ("in_ptr", a.n), ("in_len", a.n)):
         assert getattr(plain, f).size == 1, f
         assert getattr(pruning, f).size == size, f
     for v in range(a.n):
@@ -221,6 +222,29 @@ def test_invariant_scan_sees_a_bad_xpart_id():
     p = int(ref.partof[0])
     ref.xof[p] = ref.rounds + 1
     with pytest.raises(AssertionError, match="X-part ids in use"):
+        ref.check_invariants()
+
+
+def test_invariant_scan_sees_a_live_edge_marked_dead():
+    """Under pruning, the live parts of the in-edge lists hold exactly the
+    edges with cnt_ref >= 0; marking an edge -1 without taking it off its
+    target's list breaks that."""
+    ref = init_refinement(gen_random_dfa(12, 2, 1), prune=True)
+    ref.step()
+    ref.check_invariants()
+    ref.cnt_ref[int(np.flatnonzero(ref.cnt_ref >= 0)[0])] = -1
+    with pytest.raises(AssertionError, match="in-edge lists disagree with the live edges"):
+        ref.check_invariants()
+
+
+def test_invariant_scan_sees_an_edge_in_a_foreign_out_range():
+    """State u's out-edges are the ids out_ptr[u] .. out_ptr[u + 1]; moving
+    a boundary down hands one edge to the next state's range."""
+    ref = init_refinement(gen_random_nfa(12, 2, 1))
+    ref.check_invariants()
+    u = int(np.flatnonzero(np.diff(ref.out_ptr))[0])
+    ref.out_ptr[u + 1] -= 1
+    with pytest.raises(AssertionError, match="out ranges do not hold exactly each state's edges"):
         ref.check_invariants()
 
 
@@ -432,6 +456,76 @@ def _family(kind: str, n: int, seed: int) -> Automaton:
 
 
 FAMILIES = ["nfa", "dfa", "wheeler", "sturmian"]
+
+
+def _shuffled(a: Automaton, seed: int) -> tuple[Automaton, np.ndarray]:
+    """a with its edges in a random order, and the order: edge i of the
+    result is edge perm[i] of a."""
+    perm = np.random.default_rng(seed).permutation(a.m)
+    return Automaton(a.n, a.sigma, a.source, (a.esrc[perm], a.edst[perm], a.elab[perm])), perm
+
+
+def _deleted_triples(ref: Refinement) -> list[tuple[int, int, int]]:
+    a, ids = ref.automaton, ref.deleted_edge_ids()
+    return sorted(zip(a.esrc[ids].tolist(), a.edst[ids].tolist(), a.elab[ids].tolist()))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("mode", sorted(PRUNE))
+@pytest.mark.parametrize("kind", ["nfa", "dfa", "wheeler"])
+def test_shuffled_edges_refine_as_grouped_ones(kind, mode, order):
+    """The engine numbers the edges grouped by source, from sorted copies
+    when the automaton's edges are not, and maps its answers back to the
+    automaton's ids: with the edges shuffled, the partition, rounds,
+    splitter count and deleted (from, to, letter) edges stay the same, and
+    alive_edges() and surviving_in_edges() follow the shuffle."""
+    deleted = 0
+    for seed in range(8):
+        a = _family(kind, random.Random(seed).randint(5, 60), seed)
+        b, perm = _shuffled(a, seed)
+        assert np.any(b.esrc[1:] < b.esrc[:-1])
+        grouped, shuffled = (init_refinement(x, order, prune=PRUNE[mode]) for x in (a, b))
+        for ref in (grouped, shuffled):
+            run_refinement(ref)
+        assert shuffled.snapshot_partition() == grouped.snapshot_partition()
+        assert (shuffled.rounds, shuffled.max_splitter_count) == (grouped.rounds, grouped.max_splitter_count)
+        assert _deleted_triples(shuffled) == _deleted_triples(grouped)
+        assert np.array_equal(shuffled.alive_edges(), grouped.alive_edges()[perm])
+        deleted += len(_deleted_triples(grouped))
+        for v in range(a.n):
+            live = shuffled.surviving_in_edges(v)
+            assert live == sorted(live)
+            assert sorted(perm[live].tolist()) == grouped.surviving_in_edges(v)
+    assert (deleted > 0) == PRUNE[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(PRUNE))
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "shuffled"])
+def test_engine_memory_per_added_edge(grouped, mode):
+    """At fixed n, raising m eight-fold raises the tracemalloc peak of
+    init_refinement by the engine's int64 arrays of m: the count records,
+    the records' free stack and each edge's record (24 bytes an edge), and
+    the in-edge list of a pruning run (8 more). Edges grouped by source are
+    read where they lie; shuffled ones take sorted copies of their sources
+    and targets (16 more), and the map back to the automaton's ids is not
+    kept. An out-edge list, with its positions and the in-edge positions,
+    held 32 bytes an added edge plain and 56 pruning."""
+    bound = {(True, "off"): 26, (True, "keep-first"): 34, (False, "off"): 40, (False, "keep-first"): 48}
+    n, ms, peaks = 20_000, (2 * 20_000, 16 * 20_000), []
+    for m in ms:
+        a = gen_wheeler_nfa(n, m, 16, 7)
+        if not grouped:
+            a = _shuffled(a, 7)[0]
+        a.in_labels()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ref = init_refinement(a, prune=PRUNE[mode])
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        del ref
+    assert peaks[1] - peaks[0] <= bound[grouped, mode] * (ms[1] - ms[0]), peaks
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
