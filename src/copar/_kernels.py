@@ -16,10 +16,9 @@ them back on every return: on the pure-Python backend a namedtuple
 attribute read is a descriptor call and a register is a memoryview item,
 and the sub-kernel calls of a round, with their register traffic and
 unpacks, cost about 8 us of a 33-35 us round on the nfa-sort benchmark
-input (n = 12 000, 11 931 rounds, 2 cores, CPython 3.11). Only _prune_d11
-(pruning rounds with D_11 states, about 7% of them) and the heap's _sift_up
-(a push for each X-part a round turns compound, shared with _heap_push,
-which serves partition.py) stay calls.
+input (n = 12 000, 11 931 rounds, 2 cores, CPython 3.11). Only the heap's
+_sift_up (a push for each X-part a round turns compound, shared with
+_heap_push, which serves partition.py) stays a call.
 
 Register layout (indices into regs), every register read or written here:
   counters:  NPARTS, HSIZE, NREC, FREETOP, ROUNDS
@@ -64,12 +63,11 @@ def kernel_view(a):
 
 
 # The engine arrays: state sequence and part/X-part spans, edges grouped by
-# source with their out-offsets and in-edge CSR, count records, then
-# per-round scratch.
+# source with their out-offsets, count records, then per-round scratch.
 Engine = namedtuple(
     "Engine",
     "heap xbeg xend xcnt xof elems pos partof pbeg pend"
-    " esrc edst out_ptr in_ptr in_len in_lst"
+    " esrc edst out_ptr"
     " cnt_ref cnt_val free_stk splitcnt seen_gen"
     " xs d12 d11 xrec moved_cnt",
 )
@@ -124,49 +122,6 @@ def _heap_push(heap, regs, key):
 
 
 @njit(cache=True)
-def _prune_d11(st, bfirst, b, s, ftop, n11):
-    """Delete the losing side's in-edges of every D_11 state; returns the
-    new free-stack top.
-
-    Pruning keeps the side that comes first in the part order. It runs
-    before the round moves any state, so B is still the one part b, and B
-    already has its own X id. bfirst is 1 when B's side is kept, so the
-    losing edges come from the remainder of the old splitter (source in
-    X-part s), and 0 when they come from B' (source in part b). A deleted
-    edge's count record is decremented on the spot, its cnt_ref becomes -1,
-    which the scans of later rounds skip and Refinement.alive_edges reads,
-    and the last live edge of x's in-list takes its place there.
-    """
-    (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
-     esrc, edst, out_ptr, in_ptr, in_len, in_lst,
-     cnt_ref, cnt_val, free_stk, splitcnt, seen_gen,
-     xs, d12, d11, xrec, moved_cnt) = st
-    for i in range(n11):
-        x = d11[i]
-        base = in_ptr[x]
-        j = 0
-        while j < in_len[x]:
-            e = in_lst[base + j]
-            y = esrc[e]
-            if bfirst == 1:
-                doomed = xof[partof[y]] == s
-            else:
-                doomed = partof[y] == b
-            if doomed:
-                r = cnt_ref[e]
-                cnt_val[r] -= 1
-                if cnt_val[r] == 0:
-                    free_stk[ftop] = r
-                    ftop += 1
-                cnt_ref[e] = -1
-                in_len[x] -= 1
-                in_lst[base + j] = in_lst[base + in_len[x]]
-            else:
-                j += 1
-    return ftop
-
-
-@njit(cache=True)
 def run_full(regs, st, prune, max_rounds):
     """Select and split until no compound X-part remains or ROUNDS reaches
     max_rounds.
@@ -192,6 +147,8 @@ def run_full(regs, st, prune, max_rounds):
     record reaching zero means every in-edge of x from S came from B' (the
     states of B): x is D_12 (seen_gen = -gen, where gen = ROUNDS + 1), the
     other reached states are D_11. No state of B moves during the pass.
+    The pass keeps each reached state's record of S in d11, beside the
+    state in xs, until the classification of D_12 and D_11 rewrites d11.
 
     Without pruning (prune = 0), D_12 and then D_11 move toward B's side of
     their parts and split off, giving the pieces (D_12, D_11, rest) when B
@@ -199,12 +156,17 @@ def run_full(regs, st, prune, max_rounds):
     D_11 states first lose their in-edges from the side that comes later in
     the part order, and one move takes the states that kept edges from the
     first side toward it: all reached states when B was first, D_12 when it
-    was last. A lost edge stays among its source's out-edges, its cnt_ref
-    set to -1, and later passes skip it; a state serves in at most
-    floor(log2 n) + 1 splitters, so its dead edges keep the O(m log n)
-    bound. A moved piece takes a fresh part id and the remainder keeps the
-    old one (and the count records of its states' in-edges); a part whose
-    states all moved stays whole, and an X-part turning compound is pushed.
+    was last. The lost in-edges of a D_11 state x share one count record,
+    x's record of S when B was first and xrec[x] when it was last, so the
+    classification kills that record (count -1). A dead record is never
+    freed, and live and dead records hold disjoint edges, so m + n + 2
+    records still suffice. A lost edge stays among its source's out-edges,
+    and later passes skip it on reading its dead record; a state serves in
+    at most floor(log2 n) + 1 splitters, so its dead edges keep the
+    O(m log n) bound. A moved piece takes a fresh part id and the remainder
+    keeps the old one (and the count records of its states' in-edges); a
+    part whose states all moved stays whole, and an X-part turning compound
+    is pushed.
 
     Without pruning, a split that leaves a state alone in its part sets its
     seen_gen to ALONE, and the pass skips every edge into such a state
@@ -217,7 +179,7 @@ def run_full(regs, st, prune, max_rounds):
     every return; the heap sifts move a hole instead of swapping.
     """
     (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
-     esrc, edst, out_ptr, in_ptr, in_len, in_lst,
+     esrc, edst, out_ptr,
      cnt_ref, cnt_val, free_stk, splitcnt, seen_gen,
      xs, d12, d11, xrec, moved_cnt) = st
     hcap, xcap = heap.shape[0], xbeg.shape[0]
@@ -282,9 +244,9 @@ def run_full(regs, st, prune, max_rounds):
                 if sg == ALONE:
                     continue
                 r = cnt_ref[e]
-                if r < 0:  # deleted by pruning
-                    continue
                 left = cnt_val[r] - 1
+                if left < 0:  # a dead record: deleted by pruning
+                    continue
                 if sg == gen:
                     cnt_val[r] = left
                     nr = xrec[x]
@@ -296,6 +258,7 @@ def run_full(regs, st, prune, max_rounds):
                         seen_gen[x] = -gen
                     continue
                 xs[nxs] = x
+                d11[nxs] = r  # x's record of S, read back by pruning
                 nxs += 1
                 if left == 0:  # x's only edge from S keeps its record at 1
                     xrec[x] = r
@@ -324,6 +287,11 @@ def run_full(regs, st, prune, max_rounds):
         for i in range(nxs):
             x = xs[i]
             if seen_gen[x] == gen:
+                if prune == 1:  # the losing side's edges share one record
+                    if bfirst == 1:
+                        cnt_val[d11[i]] = -1
+                    else:
+                        cnt_val[xrec[x]] = -1
                 d11[n11] = x
                 n11 += 1
             else:
@@ -331,12 +299,9 @@ def run_full(regs, st, prune, max_rounds):
                 n12 += 1
         move = d12
         nmove = n12
-        if prune == 1:
-            if bfirst == 1:
-                move = xs
-                nmove = nxs
-            if n11 > 0:
-                ftop = _prune_d11(st, bfirst, b, s, ftop, n11)
+        if prune == 1 and bfirst == 1:
+            move = xs
+            nmove = nxs
         for ps in range(2):
             if ps == 1:
                 if prune == 1 or status != STATUS_OK:

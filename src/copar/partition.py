@@ -25,18 +25,16 @@ splitter that comes later in the part order. Without pruning, a split
 that leaves a state alone in its part marks it (seen_gen =
 _kernels.ALONE), and every later round skips the edges into it, so its
 count records go stale: a pruning round must still find a D_11
-singleton's records exact, so pruning runs mark nothing. Only a pruning
-refinement builds the in-edge CSR (in_lst, in_ptr, in_len) that edge
-deletion walks and swap-removes from. A plain one holds 1-element
-placeholders and counts its first records with one bincount of the
-targets. There is no deletion log: a deleted edge's record pointer
-(cnt_ref) reads -1, later rounds skip it among its source's out-edges,
-and code outside the engine reads deletions through alive_edges() alone.
+singleton's records exact, so pruning runs mark nothing. Both modes build
+the same arrays and count their first records with one bincount of the
+targets. Pruning deletes a contested state's losing in-edges by killing
+the one count record they share (count -1); there is no deletion log and
+no in-edge list: later rounds skip an edge whose record is dead, and code
+outside the engine reads deletions through alive_edges() alone.
 
 Every round, on either backend, is the kernel round, which walks B's
 out-edges one at a time: compiled with numba, else as plain Python at
-about 1 us an edge. So a pure-Python run executes the code numba compiles,
-and _kernels._prune_d11 is the one implementation of edge deletion.
+about 1 us an edge. So a pure-Python run executes the code numba compiles.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from copar import _kernels as K
-from copar.automaton import Automaton, OrderedPartition, csr, sorted_runs
+from copar.automaton import Automaton, OrderedPartition, sorted_runs
 
 DEBUG_SCAN_LIMIT = 200
 
@@ -105,12 +103,7 @@ class Refinement:
         del order
         self.out_ptr = np.r_[0, np.cumsum(np.bincount(self.esrc, minlength=n))]
         self.cnt_val = np.zeros(rcap, dtype=np.int64)
-        if self.prune:
-            self.in_lst, self.in_ptr, self.in_len = csr(self.edst, n)
-            self.cnt_val[:n] = self.in_len
-        else:  # only pruning deletes edges; the kernels never read these
-            self.in_lst = self.in_ptr = self.in_len = np.zeros(1, dtype=np.int64)
-            self.cnt_val[:n] = np.bincount(self.edst, minlength=n)
+        self.cnt_val[:n] = np.bincount(self.edst, minlength=n)
         self.cnt_ref = self.edst.copy()
         self.free_stk = np.zeros(rcap, dtype=np.int64)
 
@@ -187,9 +180,9 @@ class Refinement:
 
     def alive_edges(self) -> np.ndarray:
         """One bool per automaton edge id: whether pruning has left the edge
-        alive. Pruning marks a deleted edge with cnt_ref -1; every other
-        edge holds a count record."""
-        alive = self.cnt_ref >= 0
+        alive. Pruning deletes edges by killing their count record (count
+        -1); a live edge's record counts at least 1."""
+        alive = self.cnt_val[self.cnt_ref] >= 0
         order = self._edge_order()
         if order is not None:
             alive[order] = alive.copy()
@@ -256,12 +249,11 @@ class Refinement:
         assert self.out_ptr[0] == 0 and (deg >= 0).all() and np.array_equal(
             np.repeat(np.arange(n), deg), self.esrc
         ), "out ranges do not hold exactly each state's edges"
-        live = [e for e in range(self.m) if int(self.cnt_ref[e]) >= 0]
-        if self.prune:
-            ins = {v: self.in_lst[self.in_ptr[v] : self.in_ptr[v] + self.in_len[v]].tolist() for v in range(n)}
-            assert sorted(sum(ins.values(), [])) == live and all(
-                int(self.edst[e]) == v for v in ins for e in ins[v]
-            ), "in-edge lists disagree with the live edges"
+        live = np.flatnonzero(self.cnt_val[self.cnt_ref] >= 0).tolist()
+        free = self.free_stk[: int(self.regs[K.R_FREETOP])].tolist()
+        assert len(set(free)) == len(free), "a record is on the free stack twice"
+        for r in free:
+            assert int(self.cnt_val[r]) == 0, f"free record {r} counts {int(self.cnt_val[r])}"
         # rounds skip marked states, so only the others keep exact records
         counted = [e for e in live if int(self.edst[e]) not in alone]
         key = {e: (int(self.edst[e]), int(self.xof[self.partof[self.esrc[e]]])) for e in counted}

@@ -87,6 +87,14 @@ def _step_to_end(ref: Refinement) -> None:
         pass
 
 
+def _engine_ids(ref: Refinement, ids: list[int]) -> list[int]:
+    """The engine's ids of the given automaton edge ids: the engine numbers
+    the edges grouped by source, engine edge i being automaton edge
+    _edge_order()[i]."""
+    order = ref._edge_order()
+    return list(ids) if order is None else np.argsort(order)[ids].tolist()
+
+
 def test_stepwise_trace_quasi_fixture():
     ref = init_refinement(example_quasi_wheeler_nfa(), "ascending")
     assert ref.snapshot_partition().parts == [[0], [1, 2], [3, 4]]
@@ -145,13 +153,14 @@ def test_pruning_traces_loop_dfa(mode, order, expect_deleted, expect_parts):
     ref.check_invariants()
 
 
-def test_only_a_pruning_refinement_builds_the_deletion_arrays():
+def test_plain_and_pruning_refinements_start_alike():
+    """Pruning deletes edges by killing count records, so both modes build
+    the same engine arrays; they part only once a pruning round runs."""
     a = gen_random_dfa(20, 2, 4)
     plain = init_refinement(a)
     pruning = init_refinement(a, prune=True)
-    for f, size in (("in_lst", a.m), ("in_ptr", a.n), ("in_len", a.n)):
-        assert getattr(plain, f).size == 1, f
-        assert getattr(pruning, f).size == size, f
+    for f in K.Engine._fields:
+        assert np.array_equal(getattr(plain, f), getattr(pruning, f)), f
     for v in range(a.n):
         assert sorted(plain.surviving_in_edges(v)) == sorted(pruning.surviving_in_edges(v))
     run_refinement(plain)
@@ -179,7 +188,7 @@ def test_a_state_left_alone_is_skipped_when_reached_again():
     ref.step()
     assert ref.snapshot_partition().parts == [[0], [1], [3], [2]]
     assert ref.seen_gen[1] == ref.seen_gen[3] == K.ALONE
-    (e,) = ref.surviving_in_edges(3)
+    (e,) = _engine_ids(ref, ref.surviving_in_edges(3))
     record = (int(ref.cnt_ref[e]), int(ref.cnt_val[ref.cnt_ref[e]]))
     choice = _select(ref)
     assert choice[0] == (1,)
@@ -225,15 +234,18 @@ def test_invariant_scan_sees_a_bad_xpart_id():
         ref.check_invariants()
 
 
-def test_invariant_scan_sees_a_live_edge_marked_dead():
-    """Under pruning, the live parts of the in-edge lists hold exactly the
-    edges with cnt_ref >= 0; marking an edge -1 without taking it off its
-    target's list breaks that."""
+def test_invariant_scan_sees_a_dead_record_on_the_free_stack():
+    """Pruning kills a record (count -1) and never frees it: the next round
+    to take it from the free stack would bring its deleted edges back."""
     ref = init_refinement(gen_random_dfa(12, 2, 1), prune=True)
-    ref.step()
+    while not ref.deleted_edge_ids():
+        assert ref.step()
     ref.check_invariants()
-    ref.cnt_ref[int(np.flatnonzero(ref.cnt_ref >= 0)[0])] = -1
-    with pytest.raises(AssertionError, match="in-edge lists disagree with the live edges"):
+    e = _engine_ids(ref, ref.deleted_edge_ids())[0]
+    r, top = int(ref.cnt_ref[e]), int(ref.regs[K.R_FREETOP])
+    ref.free_stk[top] = r
+    ref.regs[K.R_FREETOP] = top + 1
+    with pytest.raises(AssertionError, match=f"free record {r} counts -1$"):
         ref.check_invariants()
 
 
@@ -499,18 +511,52 @@ def test_shuffled_edges_refine_as_grouped_ones(kind, mode, order):
     assert (deleted > 0) == PRUNE[mode]
 
 
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "shuffled"])
+def test_a_pruning_step_deletes_the_losing_in_edges_of_d11(grouped, order):
+    """After each pruning step, the edges that died are exactly the live
+    in-edges of that round's D_11 states whose sources lie on the side that
+    comes later: the rest of S (X-part s) when B was first, B when it was
+    last. The engine kills one count record per D_11 state; this walks the
+    edges one by one, in automaton edge ids."""
+    sides = set()
+    for seed in range(10):
+        a = _family("dfa", random.Random(seed).randint(5, 60), seed)
+        if not grouped:
+            a = _shuffled(a, seed)[0]
+        ref = init_refinement(a, order, prune=True)
+        while (choice := _select(ref)) is not None:
+            members, bfirst, (lo, hi) = choice
+            losing = set(ref.elems[lo:hi].tolist()) - set(members) if bfirst else set(members)
+            alive = ref.alive_edges()
+            assert ref.step()
+            r = ref.regs
+            d11 = set(ref.d11[: r[K.R_NXS] - r[K.R_N12]].tolist())
+            died = np.flatnonzero(alive & ~ref.alive_edges()).tolist()
+            want = [
+                e
+                for e in np.flatnonzero(alive).tolist()
+                if int(a.edst[e]) in d11 and int(a.esrc[e]) in losing
+            ]
+            assert died == want
+            if died:
+                sides.add(bfirst)
+    assert sides == {True, False}
+
+
 @pytest.mark.parametrize("mode", sorted(PRUNE))
 @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "shuffled"])
 def test_engine_memory_per_added_edge(grouped, mode):
     """At fixed n, raising m eight-fold raises the tracemalloc peak of
     init_refinement by the engine's int64 arrays of m: the count records,
-    the records' free stack and each edge's record (24 bytes an edge), and
-    the in-edge list of a pruning run (8 more). Edges grouped by source are
-    read where they lie; shuffled ones take sorted copies of their sources
-    and targets (16 more), and the map back to the automaton's ids is not
-    kept. An out-edge list, with its positions and the in-edge positions,
-    held 32 bytes an added edge plain and 56 pruning."""
-    bound = {(True, "off"): 26, (True, "keep-first"): 34, (False, "off"): 40, (False, "keep-first"): 48}
+    the records' free stack and each edge's record (24 bytes an edge),
+    pruning or not. Edges grouped by source are read where they lie;
+    shuffled ones take sorted copies of their sources and targets (16
+    more), and the map back to the automaton's ids is not kept. An
+    out-edge list, with its positions and the in-edge positions, held 32
+    bytes an added edge plain and 56 pruning, and a pruning run's in-edge
+    list 8 more than a plain one."""
+    bound = {(True, "off"): 26, (True, "keep-first"): 26, (False, "off"): 40, (False, "keep-first"): 40}
     n, ms, peaks = 20_000, (2 * 20_000, 16 * 20_000), []
     for m in ms:
         a = gen_wheeler_nfa(n, m, 16, 7)
@@ -556,7 +602,8 @@ def test_stepping_matches_one_run_full_call(kind, mode, order):
 
 def _records_in_use(ref: Refinement) -> None:
     """The count records a step leaves: the free ones are distinct, below
-    NREC, count 0 and held by no counted edge, and those past NREC count 0."""
+    NREC, count 0 and held by no counted edge, none of them dead, and those
+    past NREC count 0."""
     r = ref.regs
     free = ref.free_stk[: r[K.R_FREETOP]]
     assert np.unique(free).size == free.size
@@ -566,25 +613,29 @@ def _records_in_use(ref: Refinement) -> None:
         e
         for v in range(ref.n)
         if ref.seen_gen[v] != K.ALONE
-        for e in ref.surviving_in_edges(v)
+        for e in _engine_ids(ref, ref.surviving_in_edges(v))
     ]
     held = {int(ref.cnt_ref[e]) for e in counted}
     assert not held & set(free.tolist())
     assert all(ref.cnt_val[q] > 0 for q in held)
+    dead = {int(ref.cnt_ref[e]) for e in _engine_ids(ref, ref.deleted_edge_ids())}
+    assert not dead & set(free.tolist())
 
 
 @pytest.mark.parametrize("mode", sorted(PRUNE))
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_free_records_are_distinct_unused_and_zero(kind, mode):
     """After every step, records a round frees or never takes are unused
-    and count 0, so the next round that takes one starts it from 1."""
+    and count 0, so the next round that takes one starts it from 1; with
+    the edges grouped by source and shuffled."""
     for seed in range(4):
-        a = _family(kind, random.Random(seed).randint(5, 40), seed)
-        ref = init_refinement(a, ["ascending", "descending"][seed % 2], prune=PRUNE[mode])
-        _records_in_use(ref)
-        while ref.step():
+        grouped = _family(kind, random.Random(seed).randint(5, 40), seed)
+        for a in (grouped, _shuffled(grouped, seed)[0]):
+            ref = init_refinement(a, ["ascending", "descending"][seed % 2], prune=PRUNE[mode])
             _records_in_use(ref)
-        _records_in_use(ref)
+            while ref.step():
+                _records_in_use(ref)
+            _records_in_use(ref)
 
 
 @pytest.mark.parametrize("mode", sorted(PRUNE))

@@ -37,7 +37,7 @@ def test_a_state_left_with_no_live_in_edge_is_refused():
     a = example_loop_dfa()
     ref = init_refinement(a, prune=True)
     run_refinement(ref)
-    ref.cnt_ref[ref.edst == 2] = -1  # as if every in-edge of state 2 had been deleted
+    ref.cnt_val[ref.cnt_ref[ref.edst == 2]] = -1  # as if every in-edge of state 2 had been deleted
     with pytest.raises(RuntimeError, match="^pruning removed every in-edge of state 2$"):
         prune._assemble(a, "inf", ref)
 
