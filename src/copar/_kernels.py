@@ -1,7 +1,8 @@
 """Compiled ordered partition refinement: one kernel runs every round.
 
 run_full(regs, st, prune, max_rounds) selects a splitter, splits against
-it and loops, over flat int64 arrays plus a small register file (regs).
+it and loops, over flat int32 arrays (int64 past partition.engine_dtype's
+bound; the heap always) plus a small register file (regs).
 Both callers drive it: partition.run_refinement runs it to the fixpoint,
 and Refinement.step runs one round per call.
 With numba installed the functions are njit-compiled (cached); without it
@@ -13,10 +14,9 @@ here.
 The engine arrays travel as one Engine namedtuple. run_full unpacks it
 once per call and keeps the registers a round updates in locals, writing
 them back on every return: on the pure-Python backend a namedtuple
-attribute read is a descriptor call and a register is a memoryview item,
-and the sub-kernel calls of a round, with their register traffic and
-unpacks, cost about 8 us of a 33-35 us round on the nfa-sort benchmark
-input (n = 12 000, 11 931 rounds, 2 cores, CPython 3.11). Only the heap's
+attribute read is a descriptor call and a register is a memoryview item.
+A round of the nfa-sort benchmark input (n = 12 000, CPython 3.11) takes
+about 6 us there; scripts/kernel_lines.py counts its lines. Only the heap's
 _sift_up (a push for each X-part a round turns compound, shared with
 _heap_push, which serves partition.py) stays a call.
 
@@ -67,7 +67,7 @@ def kernel_view(a):
 Engine = namedtuple(
     "Engine",
     "heap xbeg xend xcnt xof elems pos partof pbeg pend"
-    " esrc edst out_ptr"
+    " edst out_ptr"
     " cnt_ref cnt_val free_stk splitcnt seen_gen"
     " xs d12 d11 xrec moved_cnt",
 )
@@ -94,7 +94,8 @@ STATUS_ROUND_OVERRUN = 6
 
 # seen_gen of a state that a split without pruning left alone in its part:
 # larger than any generation, so every later scan skips the state at once.
-ALONE = 1 << 62
+# The largest int32, above every value of an int32 engine.
+ALONE = (1 << 31) - 1
 
 
 @njit(cache=True)
@@ -131,10 +132,10 @@ def run_full(regs, st, prune, max_rounds):
     its root is the leftmost one, S. A round carves the smaller of S's end
     parts as B (ties go to the first), and B takes X id ROUNDS + 1. The final
     part sets do not depend on this discipline, but on an input whose
-    result is not quasi-Wheeler the part order does. The root
-    is updated in place: popped when the remainder of S is simple, its key
-    sifted down when B was first (S's begin moved), and left as it is when
-    B was last.
+    result is not quasi-Wheeler the part order does. Only a pop sifts: S
+    is popped once its remainder is simple, else it stays the root, since
+    other compound X-parts begin at or past S's end. A first B writes S's
+    new begin, B's end, into heap[0]; a last one leaves it.
 
     The split is one pass over the out-edges of each y in B, the ids
     out_ptr[y] .. out_ptr[y + 1]. Each edge e -> x leaves its record of
@@ -149,6 +150,7 @@ def run_full(regs, st, prune, max_rounds):
     other reached states are D_11. No state of B moves during the pass.
     The pass keeps each reached state's record of S in d11, beside the
     state in xs, until the classification of D_12 and D_11 rewrites d11.
+    A pass that reaches no state ends the round there, with N12 = 0.
 
     Without pruning (prune = 0), D_12 and then D_11 move toward B's side of
     their parts and split off, giving the pieces (D_12, D_11, rest) when B
@@ -176,10 +178,11 @@ def run_full(regs, st, prune, max_rounds):
     a refinement fixes prune when it is built.
 
     The registers a round updates live in locals and are written back on
-    every return; the heap sifts move a hole instead of swapping.
+    every return; the heap sifts move a hole instead of swapping. On
+    numba, int32 loads widen into int64 locals and heap keys stay int64.
     """
     (heap, xbeg, xend, xcnt, xof, elems, pos, partof, pbeg, pend,
-     esrc, edst, out_ptr,
+     edst, out_ptr,
      cnt_ref, cnt_val, free_stk, splitcnt, seen_gen,
      xs, d12, d11, xrec, moved_cnt) = st
     hcap, xcap = heap.shape[0], xbeg.shape[0]
@@ -191,37 +194,38 @@ def run_full(regs, st, prune, max_rounds):
         s = heap[0] % xcap
         slo = xbeg[s]
         shi = xend[s]
+        # B is [blo, bhi): a first B begins at slo, a last one ends at shi
         b = partof[elems[slo]]
         p = partof[elems[shi - 1]]
+        blo = slo
+        bhi = pend[b]
         bfirst = 1
-        if pend[p] - pbeg[p] < pend[b] - pbeg[b]:
+        plo = pbeg[p]
+        if shi - plo < bhi - slo:
             b = p
+            blo = plo
+            bhi = shi
             bfirst = 0
-        if 2 * (pend[b] - pbeg[b]) > shi - slo:
+        if 2 * (bhi - blo) > shi - slo:
             status = STATUS_SPLITTER_SIZE
             break
-        nx = rounds + 1
-        if nx >= xcap:
+        gen = rounds + 1  # B's X id
+        if gen >= xcap:
             status = STATUS_XPART_CAP
             break
-        xbeg[nx] = pbeg[b]
-        xend[nx] = pend[b]
-        xcnt[nx] = 1
-        xof[b] = nx
+        xbeg[gen] = blo
+        xend[gen] = bhi
+        xcnt[gen] = 1
+        xof[b] = gen
+        if bfirst == 1:
+            xbeg[s] = bhi
+        else:
+            xend[s] = blo
         xcnt[s] -= 1
-        # S is the heap root: pop it once simple, sift its new key down
-        # when B was first, else its key stands
-        key = -1
+        # S, the heap root, stays the root until it is popped
         if xcnt[s] < 2:
             hsize -= 1
             key = heap[hsize]
-        elif bfirst == 1:
-            key = pend[b] * xcap + s
-        if bfirst == 1:
-            xbeg[s] = pend[b]
-        else:
-            xend[s] = pbeg[b]
-        if key >= 0:
             i = 0
             c = 1
             while c < hsize:
@@ -233,9 +237,10 @@ def run_full(regs, st, prune, max_rounds):
                 i = c
                 c = 2 * i + 1
             heap[i] = key
-        gen = rounds + 1
+        elif bfirst == 1:
+            heap[0] = bhi * xcap + s
         nxs = 0
-        for i in range(pbeg[b], pend[b]):
+        for i in range(blo, bhi):
             y = elems[i]
             splitcnt[y] += 1
             for e in range(out_ptr[y], out_ptr[y + 1]):
@@ -282,7 +287,10 @@ def run_full(regs, st, prune, max_rounds):
                 break
         if status != STATUS_OK:
             break
+        rounds += 1
         n12 = 0
+        if nxs == 0:  # every edge of B led to an ALONE state or was dead
+            continue
         n11 = 0
         for i in range(nxs):
             x = xs[i]
@@ -364,7 +372,6 @@ def run_full(regs, st, prune, max_rounds):
                         break
                     _sift_up(heap, hsize, xbeg[xp] * xcap + xp)
                     hsize += 1
-        rounds += 1
     regs[R_FREETOP], regs[R_NREC], regs[R_HSIZE], regs[R_NPARTS] = ftop, nrec, hsize, nparts
     regs[R_ROUNDS], regs[R_STATUS] = rounds, status
     regs[R_NXS], regs[R_N12] = nxs, n12

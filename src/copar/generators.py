@@ -137,7 +137,8 @@ def gen_random_dfa(n: int, sigma: int, seed: int, m: int | None = None) -> Autom
 
     Each state v >= 1 draws a fixed in-letter (states 1..sigma take letters
     0..sigma-1 so every letter is used) and a tree parent below it with
-    that out-slot free; extra edges are rejection-sampled among the
+    that out-slot free (with one letter only v - 1 has it, so the tree is
+    the path, drawn in O(n)); extra edges are rejection-sampled among the
     remaining free (source, letter) slots. m counts all edges and defaults
     to a seed-dependent value in [n-1, min(3*(n-1), n*sigma)].
     """
@@ -156,10 +157,13 @@ def gen_random_dfa(n: int, sigma: int, seed: int, m: int | None = None) -> Autom
     dst: list[int] = []
     for v in range(1, n):
         c = lam[v - 1]
-        while True:
-            u = rng.randrange(v)
-            if (u, c) not in used:
-                break
+        if sigma == 1:  # states 0 .. v - 2 have used their one out-slot
+            u = v - 1
+        else:
+            while True:
+                u = rng.randrange(v)
+                if (u, c) not in used:
+                    break
         used.add((u, c))
         src.append(u)
         dst.append(v)

@@ -32,9 +32,14 @@ the one count record they share (count -1); there is no deletion log and
 no in-edge list: later rounds skip an edge whose record is dead, and code
 outside the engine reads deletions through alive_edges() alone.
 
+The arrays are int32 while n + m + 2 < _kernels.ALONE = 2**31 - 1, else
+int64 (engine_dtype); the heap's keys reach (n + 2)**2 and stay int64.
+
 Every round, on either backend, is the kernel round, which walks B's
 out-edges one at a time: compiled with numba, else as plain Python at
 about 1 us an edge. So a pure-Python run executes the code numba compiles.
+A round sifts the heap only when it pops S, and ends right after a scan
+of B's out-edges that reaches no state.
 """
 
 from __future__ import annotations
@@ -45,6 +50,14 @@ from copar import _kernels as K
 from copar.automaton import Automaton, OrderedPartition, sorted_runs
 
 DEBUG_SCAN_LIMIT = 200
+
+
+def engine_dtype(n: int, m: int) -> type:
+    """The dtype of the engine arrays but the heap for n states and m
+    edges: int32 when every value they hold stays below _kernels.ALONE =
+    2**31 - 1 (record ids below n + m + 2, generations at most n + 2),
+    else int64. It reads (n, m) alone and allocates nothing."""
+    return np.int32 if n + m + 2 < K.ALONE else np.int64
 
 
 class Refinement:
@@ -78,43 +91,51 @@ class Refinement:
         xcap = n + 2
         rcap = m + n + 2
         hcap = n // 2 + 2  # each compound X-part once, and each has two states
+        dt = engine_dtype(n, m)
 
-        self.elems, new = sorted_runs(key)
-        self.pos = np.empty(n, dtype=np.int64)
-        self.pos[self.elems] = np.arange(n, dtype=np.int64)
+        elems, new = sorted_runs(key)
+        self.elems = elems.astype(dt)
+        del elems
+        self.pos = np.empty(n, dtype=dt)
+        self.pos[self.elems] = np.arange(n, dtype=dt)
         starts = np.flatnonzero(new)
         nparts = starts.size
-        self.pbeg = np.zeros(pcap, dtype=np.int64)
-        self.pend = np.zeros(pcap, dtype=np.int64)
-        self.xof = np.zeros(pcap, dtype=np.int64)
+        self.pbeg = np.zeros(pcap, dtype=dt)
+        self.pend = np.zeros(pcap, dtype=dt)
+        self.xof = np.zeros(pcap, dtype=dt)
         self.pbeg[:nparts] = starts
         self.pend[:nparts] = np.r_[starts[1:], n]
-        self.partof = np.empty(n, dtype=np.int64)
+        self.partof = np.empty(n, dtype=dt)
         self.partof[self.elems] = np.cumsum(new) - 1
 
-        self.xbeg = np.zeros(xcap, dtype=np.int64)
-        self.xend = np.zeros(xcap, dtype=np.int64)
-        self.xcnt = np.zeros(xcap, dtype=np.int64)
+        self.xbeg = np.zeros(xcap, dtype=dt)
+        self.xend = np.zeros(xcap, dtype=dt)
+        self.xcnt = np.zeros(xcap, dtype=dt)
         self.xend[0] = n
         self.xcnt[0] = nparts
 
         order = self._edge_order()  # dropped at once, not kept as m int64
-        self.esrc, self.edst = (a.esrc, a.edst) if order is None else (a.esrc[order], a.edst[order])
+        if order is None:
+            self.esrc, self.edst = a.esrc, a.edst
+        else:
+            self.esrc = a.esrc[order].astype(dt)
+            self.edst = a.edst[order].astype(dt)
         del order
-        self.out_ptr = np.r_[0, np.cumsum(np.bincount(self.esrc, minlength=n))]
-        self.cnt_val = np.zeros(rcap, dtype=np.int64)
+        self.out_ptr = np.zeros(n + 1, dtype=dt)
+        np.cumsum(np.bincount(self.esrc, minlength=n), out=self.out_ptr[1:])
+        self.cnt_val = np.zeros(rcap, dtype=dt)
         self.cnt_val[:n] = np.bincount(self.edst, minlength=n)
-        self.cnt_ref = self.edst.copy()
-        self.free_stk = np.zeros(rcap, dtype=np.int64)
+        self.cnt_ref = self.edst.astype(dt)
+        self.free_stk = np.zeros(rcap, dtype=dt)
 
         self.heap = np.zeros(hcap, dtype=np.int64)
-        self.splitcnt = np.zeros(n, dtype=np.int64)
-        self.seen_gen = np.zeros(n, dtype=np.int64)
-        self.xs = np.zeros(n, dtype=np.int64)
-        self.d12 = np.zeros(n, dtype=np.int64)
-        self.d11 = np.zeros(n, dtype=np.int64)
-        self.xrec = np.zeros(n, dtype=np.int64)
-        self.moved_cnt = np.zeros(pcap, dtype=np.int64)
+        self.splitcnt = np.zeros(n, dtype=dt)
+        self.seen_gen = np.zeros(n, dtype=dt)
+        self.xs = np.zeros(n, dtype=dt)
+        self.d12 = np.zeros(n, dtype=dt)
+        self.d11 = np.zeros(n, dtype=dt)
+        self.xrec = np.zeros(n, dtype=dt)
+        self.moved_cnt = np.zeros(pcap, dtype=dt)
 
         regs = np.zeros(K.NREGS, dtype=np.int64)
         regs[K.R_NPARTS] = nparts

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import time
 
 import numpy as np
 import pytest
@@ -77,10 +78,13 @@ def ref_gen_random_dfa(n: int, sigma: int, seed: int, m: int | None = None) -> A
     edges: list[tuple[int, int, int]] = []
     for v in range(1, n):
         c = lam[v - 1]
-        while True:
-            u = rng.randrange(v)
-            if (u, c) not in used:
-                break
+        if sigma == 1:  # only v - 1 has its one out-slot free
+            u = v - 1
+        else:
+            while True:
+                u = rng.randrange(v)
+                if (u, c) not in used:
+                    break
         used.add((u, c))
         edges.append((u, v, c))
     need = m - (n - 1)
@@ -195,6 +199,18 @@ def test_dfa_generator_exact_edge_count():
 def test_dfa_generator_single_state():
     a = gen_random_dfa(1, 0, 0)
     assert a.n == 1 and a.m == 0 and validate(a) == []
+
+
+def test_one_letter_dfa_draws_its_tree_in_linear_time():
+    """With one letter only state v - 1 has its out-slot free when v draws
+    its tree parent; sampling parents below v until the free one came up
+    took about v draws a state, 45 s at this size."""
+    t = time.perf_counter()
+    a = gen_random_dfa(16_000, 1, 10, m=16_000)
+    assert time.perf_counter() - t < 1.0
+    assert a.m == 16_000 and a.is_deterministic() and validate(a) == []
+    tree = np.flatnonzero(a.esrc + 1 == a.edst)
+    assert tree.size >= 15_999  # the path 0 -> 1 -> ... -> n - 1
 
 
 def test_nfa_generator_is_clean():

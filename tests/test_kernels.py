@@ -3,7 +3,7 @@
 numba is a declared dependency but may be absent, and then every kernel runs
 as plain Python, so nothing else would notice a construct numba cannot
 compile. This test parses copar/_kernels.py and allows in each @njit
-function only scalar int64 array code: assignments and tuple unpacking to
+function only scalar integer array code: assignments and tuple unpacking to
 names and subscripts, if/while/for-over-range, integer constants, arithmetic,
 comparison and boolean operators, subscripts of parameters and locals,
 .shape[0], attribute reads of st that name an Engine field, positional calls
@@ -15,9 +15,18 @@ which only numba does.
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 from copar import _kernels as K
+from copar.automaton import serialize_automaton
+from copar.generators import gen_random_nfa
+from copar.partition import init_refinement, run_refinement
 
 SOURCE = Path(K.__file__).read_text(encoding="utf-8")
 TREE = ast.parse(SOURCE)
@@ -222,3 +231,26 @@ def test_checker_rejects_constructs_outside_the_subset():
         "    _heap_push(heap, regs, a // 2)\n    return a\n"
     ).body[0]
     assert violations(ok) == []
+
+
+@pytest.mark.skipif(K.HAVE_NUMBA, reason="compiled kernels run no traced line")
+def test_kernel_lines_script_counts_the_lines_of_every_round(tmp_path):
+    """scripts/kernel_lines.py runs the engine under a line counter. Its
+    rounds are the engine's, and two runs count the same lines."""
+    a = gen_random_nfa(300, 3, 7, m=897)
+    path = tmp_path / "in.nfa"
+    path.write_text(serialize_automaton(a), encoding="utf-8")
+    ref = init_refinement(a)
+    run_refinement(ref)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "kernel_lines.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(K.__file__).parents[1]))
+    outs = []
+    for _ in range(2):
+        run = subprocess.run([sys.executable, str(script), str(path)], capture_output=True, env=env)
+        assert run.returncode == 0, run.stderr.decode()
+        outs.append(json.loads(run.stdout))
+    assert outs[0] == outs[1]
+    got = outs[0]
+    assert (got["n"], got["m"], got["rounds"]) == (300, 897, ref.rounds)
+    assert set(got["by_function"]) == {"_sift_up", "run_full"}
+    assert got["lines_per_round"] == round(got["kernel_lines"] / ref.rounds, 1)

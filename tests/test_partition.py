@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copar import _kernels as K
+from copar import partition as partition_module
 from copar import prune
 from copar.automaton import Automaton, OrderedPartition, path_dfa
 from copar.examples import example_loop_dfa, example_quasi_wheeler_nfa
 from copar.generators import gen_random_dfa, gen_random_nfa, gen_wheeler_nfa
-from copar.partition import Refinement, init_refinement, run_refinement
+from copar.partition import Refinement, engine_dtype, init_refinement, run_refinement
 
 # test ids name the two ways a refinement runs
 PRUNE = {"off": False, "keep-first": True}
@@ -548,15 +549,16 @@ def test_a_pruning_step_deletes_the_losing_in_edges_of_d11(grouped, order):
 @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "shuffled"])
 def test_engine_memory_per_added_edge(grouped, mode):
     """At fixed n, raising m eight-fold raises the tracemalloc peak of
-    init_refinement by the engine's int64 arrays of m: the count records,
-    the records' free stack and each edge's record (24 bytes an edge),
-    pruning or not. Edges grouped by source are read where they lie;
-    shuffled ones take sorted copies of their sources and targets (16
-    more), and the map back to the automaton's ids is not kept. An
-    out-edge list, with its positions and the in-edge positions, held 32
-    bytes an added edge plain and 56 pruning, and a pruning run's in-edge
-    list 8 more than a plain one."""
-    bound = {(True, "off"): 26, (True, "keep-first"): 26, (False, "off"): 40, (False, "keep-first"): 40}
+    init_refinement by the engine's int32 arrays of m: the count records,
+    the records' free stack and each edge's record (12 bytes an edge; 24
+    while they were int64), pruning or not. Edges grouped by source are
+    read where they lie; shuffled ones take int32 sorted copies of their
+    sources and targets, made through int64 temporaries (about 21 bytes an
+    edge in all, 40 with int64 arrays), and the map back to the
+    automaton's ids is not kept. An out-edge list, with its positions and
+    the in-edge positions, held 32 bytes an added edge plain and 56
+    pruning, and a pruning run's in-edge list 8 more than a plain one."""
+    bound = {(True, "off"): 14, (True, "keep-first"): 14, (False, "off"): 24, (False, "keep-first"): 24}
     n, ms, peaks = 20_000, (2 * 20_000, 16 * 20_000), []
     for m in ms:
         a = gen_wheeler_nfa(n, m, 16, 7)
@@ -572,6 +574,53 @@ def test_engine_memory_per_added_edge(grouped, mode):
             tracemalloc.stop()
         del ref
     assert peaks[1] - peaks[0] <= bound[grouped, mode] * (ms[1] - ms[0]), peaks
+
+
+def test_engine_dtype_is_int32_while_every_value_stays_below_alone():
+    """Record ids stay below n + m + 2 and generations at most n + 2, so the
+    arrays take int32 while n + m + 2 < ALONE = 2**31 - 1, the largest
+    int32. The choice reads (n, m) alone, so the boundary is tested without
+    allocating anything."""
+    assert K.ALONE == np.iinfo(np.int32).max
+    top = K.ALONE - 3  # the largest n + m on the int32 path
+    for n, m in ((top, 0), (0, top), (top // 2, top - top // 2)):
+        assert engine_dtype(n, m) is np.int32
+        assert engine_dtype(n + 1, m) is np.int64 and engine_dtype(n, m + 1) is np.int64
+    # the largest n on the int32 path still leaves ALONE above n + 2
+    assert engine_dtype(top, 0) is np.int32 and top + 2 < K.ALONE
+    assert engine_dtype(10**6, 3 * 10**6) is np.int32
+
+
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "shuffled"])
+def test_engine_arrays_take_the_engine_dtype(grouped):
+    """Every engine array but the heap is int32 here; grouped edges are
+    read where they lie, so edst stays the automaton's own column."""
+    a = gen_random_nfa(60, 3, 5)
+    if not grouped:
+        a = _shuffled(a, 5)[0]
+    ref = init_refinement(a)
+    assert ref.heap.dtype == np.int64 and ref.regs.dtype == np.int64
+    for f in K.Engine._fields:
+        if f == "heap" or (grouped and f == "edst"):
+            continue
+        assert getattr(ref, f).dtype == np.int32, f
+    assert (ref.edst is a.edst) == grouped
+
+
+@pytest.mark.parametrize("mode", sorted(PRUNE))
+def test_int64_engine_arrays_refine_as_int32_ones(mode, monkeypatch):
+    """Past 2**31 the engine takes int64 arrays; forced onto small inputs,
+    they give the int32 runs' partitions, counts and live edges."""
+    def run(a):
+        ref = init_refinement(a, prune=PRUNE[mode])
+        run_refinement(ref)
+        return ref.snapshot_partition().parts, ref.rounds, ref.max_splitter_count, ref.alive_edges().tolist()
+
+    cases = [_family("dfa" if PRUNE[mode] else kind, 40, seed) for seed in range(3) for kind in FAMILIES]
+    want = [run(a) for a in cases]
+    monkeypatch.setattr(partition_module, "engine_dtype", lambda n, m: np.int64)
+    assert init_refinement(cases[0]).cnt_val.dtype == np.int64
+    assert [run(a) for a in cases] == want
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
