@@ -1,9 +1,11 @@
-"""Random-instance generators: feasibility, validity, reproducibility, and
-the same edges as the per-edge Python generators they replaced."""
+"""Random-instance generators: feasibility, validity, reproducibility, the
+same edges as the per-edge Python generators they replaced, and the numpy
+draw replays against the random.Random methods they replay."""
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
 import time
 
@@ -13,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copar.automaton import Automaton, validate
-from copar.generators import gen_random_dfa, gen_random_nfa, gen_wheeler_nfa
+from copar.generators import (
+    _BLOCK,
+    _sample,
+    _Words,
+    gen_random_dfa,
+    gen_random_nfa,
+    gen_wheeler_nfa,
+)
 from copar.oracle import check_wheeler_order
 
 # --- the reference generators: every draw a Python call, edges as tuples ---
@@ -287,6 +296,7 @@ def test_random_generators_match_the_reference(data):
         (30, 29 * 30, 29, 2),  # every block a single state
         (30, 40, 28, 2),  # one-state blocks and one two-state block
         (10**5, 3 * (10**5 - 1), 3, 1729),
+        (10**5, 10**5 + 9, 10**5 - 1, 3),  # over 2**32 slots, past one word per draw
     ],
 )
 def test_wheeler_generator_matches_the_reference_at_fixed_cases(n, m, sigma, seed):
@@ -306,3 +316,107 @@ def test_dfa_generator_matches_the_reference_at_fixed_cases(n, sigma, seed, m):
 )
 def test_nfa_generator_matches_the_reference_at_fixed_cases(n, sigma, seed, m):
     assert_same_automaton(gen_random_nfa(n, sigma, seed, m), ref_gen_random_nfa(n, sigma, seed, m))
+
+
+# gen_random_dfa(2000, 3, 1, 6000) runs its rejection loop until the attempts
+# cap, then fills the rest of the slots by the shuffle and choice fallback
+@pytest.mark.parametrize("n,sigma,seed,m", [(2000, 3, 1, 6000), (500, 2, 9, 1000)])
+def test_dfa_generator_matches_the_reference_at_saturation(n, sigma, seed, m):
+    assert_same_automaton(gen_random_dfa(n, sigma, seed, m), ref_gen_random_dfa(n, sigma, seed, m))
+
+
+@pytest.mark.parametrize(
+    "n,sigma,seed,m",
+    [
+        # n a power of two: the candidates' bounds n - 1 and n differ in bit length
+        (64, 3, 11, 3 * 63),
+        (1024, 2, 5, 3 * 1023),
+        # m = n(n - 1): every (source, target) pair, to the last free one
+        (12, 3, 4, 12 * 11),
+        (64, 2, 8, 64 * 63),
+    ],
+)
+def test_nfa_generator_matches_the_reference_at_edge_cases(n, sigma, seed, m):
+    assert_same_automaton(gen_random_nfa(n, sigma, seed, m), ref_gen_random_nfa(n, sigma, seed, m))
+
+
+# --- the numpy draw replays against the random.Random calls they replay ---
+
+
+def assert_replays_randbelow(bounds: list[int], seed: int) -> None:
+    """A word stream, read by two randbelow calls, gives _randbelow's values;
+    seek(read) leaves the generator as the calls leave it, and seek(ends[i])
+    as call i does."""
+    ours, ref = random.Random(seed), random.Random(seed)
+    words = _Words(ours)
+    half = len(bounds) // 2
+    values, ends = (np.concatenate(x) for x in zip(words.randbelow(bounds[:half]), words.randbelow(bounds[half:])))
+    probes = {0, len(bounds) // 2, len(bounds) - 1} if bounds else set()
+    expected, states = [], {}
+    for i, b in enumerate(bounds):
+        expected.append(ref._randbelow(b))
+        if i in probes:
+            states[i] = ref.getstate()
+    assert values.tolist() == expected
+    words.seek(words.read)
+    assert ours.random() == ref.random()
+    for i, state in states.items():
+        words.seek(int(ends[i]))
+        assert ours.getstate() == state
+
+
+POWER_EDGES = [b for k in (1, 2, 3, 16, 31) for b in (2**k - 1, 2**k, 2**k + 1)] + [2**32 - 1]
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        [],
+        [1] * 200,
+        [2] * 200,
+        *([b] * 80 for b in POWER_EDGES),
+        [3, 4] * 60,  # alternating bounds of different bit lengths
+        [1023, 1024] * 60,
+        list(range(1, 300)),  # the tree parents' bounds
+        list(range(400, 0, -1)),  # a full pool sample's bounds
+        POWER_EDGES * 8,
+    ],
+    ids=lambda b: f"{len(b)}:{b[:3]}",
+)
+def test_words_replay_randbelow(bounds):
+    for seed in range(4):
+        assert_replays_randbelow(bounds, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(POWER_EDGES) | st.integers(min_value=1, max_value=2**32 - 1), max_size=100))
+def test_words_replay_mixed_bounds(bounds):
+    assert_replays_randbelow(bounds, len(bounds))
+
+
+def test_words_replay_across_blocks():
+    assert_replays_randbelow(list(range(1, _BLOCK + 100)), 5)
+    assert_replays_randbelow([1000, 1001] * (_BLOCK // 2 + 50), 6)
+    assert_replays_randbelow([1] * (2 * _BLOCK + 50), 7)  # passes that leave calls over
+
+
+def setsize(k: int) -> int:
+    """CPython's threshold in Random.sample: the pool path at most."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 6, 7, 50, 1000])
+@pytest.mark.parametrize("above", [0, 1])  # the pool path, then the set path
+def test_sample_replays_random_sample(k, above):
+    size = setsize(k) + above
+    for seed in range(4):
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert _sample(ours, size, k).tolist() == ref.sample(range(size), k)
+        assert ours.random() == ref.random()
+
+
+def test_sample_replays_a_full_pool():
+    for size in (1, 2, 3, 30, 500):
+        ours, ref = random.Random(size), random.Random(size)
+        assert _sample(ours, size, size).tolist() == ref.sample(range(size), size)
+        assert ours.random() == ref.random()

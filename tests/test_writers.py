@@ -20,6 +20,7 @@ from copar.automaton import (
     serialize_ordered_partition,
 )
 from copar.colex import ColexResult, serialize_colex
+from copar.generators import gen_random_nfa
 
 # --- the reference writers: one Python str per value ---
 
@@ -158,3 +159,13 @@ def test_gen_outputs_keep_their_digests(kind, seed, tmp_path):
     out = tmp_path / "gen.nfa"
     assert cli.main(["gen", kind, "-n", "100000", "--seed", str(seed), "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS[kind, seed]
+
+
+# sha256 of serialize_automaton(gen_random_nfa(10**5, 3, 7, m=3 * (10**5 - 1))),
+# as the per-draw generator drew it
+NFA_DIGEST = "80ab1c6c5dc2f95d42a52023a9527fa7ffeef27ec45bdc451af20a25e0f8d2cf"
+
+
+def test_random_nfa_keeps_its_digest():
+    a = gen_random_nfa(10**5, 3, 7, m=3 * (10**5 - 1))
+    assert hashlib.sha256(serialize_automaton(a).encode()).hexdigest() == NFA_DIGEST
